@@ -3,9 +3,10 @@
 Layout: magic "LRLM" | version u32 LE | header length u64 LE | UTF-8 JSON
 header | zero padding to a 64-byte boundary | tensor payload. Every tensor
 starts at a 64-byte-aligned offset relative to the payload start and is stored
-as raw little-endian bytes. Quantized tensors store packed codes under dtype
-"u8q"/"u4q" with companion "<name>.scale" / "<name>.offset" float32 tensors.
-Saving is deterministic, so save(load(x)) is byte-identical to x.
+as raw little-endian bytes: "f32", or packed quantized codes under "u8q"/"u4q"
+with companion "<name>.scale" / "<name>.offset" float32 tensors. Every
+backend is saved as its terms, one tensor table entry per term. Saving is
+deterministic, so save(load(x)) is byte-identical to x.
 """
 
 from __future__ import annotations
@@ -15,20 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .lowrank import lora_merge
 from .quant import QuantizedMatrix
-from .transformer import (
-    BlendLinear,
-    DecoderModel,
-    DenseEmbedding,
-    DenseLinear,
-    LayerSpec,
-    LoraLinear,
-    LowRankEmbedding,
-    LowRankLinear,
-    ModelConfig,
-    QuantizedLinear,
-    build_model,
-)
+from .transformer import DecoderModel, LayerSpec, ModelConfig, ModelError, assemble_model, full_specs
 
 __all__ = ["CheckpointError", "MAGIC", "VERSION", "save_checkpoint", "load_checkpoint"]
 
@@ -38,136 +28,103 @@ ALIGN = 64
 
 _DTYPES = {
     "f32": np.dtype("<f4"),
-    "f16": np.dtype("<f2"),
     "u8q": np.dtype("<u1"),
     "u4q": np.dtype("<u1"),
 }
+_QBITS = {"u8q": 8, "u4q": 4}
+_ENTRY_KEYS = ("dtype", "shape", "offset", "length")
 
 
 class CheckpointError(RuntimeError):
     pass
 
 
-def _matrix_slots(model: DecoderModel):
-    """(path, backend, setter) for every pluggable matrix in the model."""
-    slots = [("embed", model.embed, lambda b: setattr(model, "embed", b))]
-    for layer in model.layers:
-        for name in ("wq", "wk", "wv", "wo", "wu", "wg", "wd"):
-            slots.append(
-                (f"layers.{layer.index}.{name}", getattr(layer, name),
-                 (lambda l, n: lambda b: setattr(l, n, b))(layer, name))
-            )
-    slots.append(("head", model.head, lambda b: setattr(model, "head", b)))
-    return slots
-
-
-def _quant_entries(name: str, q: QuantizedMatrix):
-    tag = "u4q" if q.bits == 4 else "u8q"
-    return [
-        (name, tag, [q.rows, q.cols], q.codes),
-        (name + ".scale", "f32", list(q.scale.shape), q.scale),
-        (name + ".offset", "f32", list(q.offset.shape), q.offset),
-    ]
-
-
-def _collect(model: DecoderModel):
+def _entries(model: DecoderModel):
     """Deterministically ordered (name, dtype_tag, logical_shape, array) entries."""
     entries = []
-    merged = {}
-    for path, backend, _ in _matrix_slots(model):
-        if isinstance(backend, (DenseLinear, DenseEmbedding)):
-            entries.append((backend.weight.name, "f32", list(backend.weight.data.shape), backend.weight.data))
-        elif isinstance(backend, (LowRankLinear, LowRankEmbedding)):
-            entries.append((backend.down.name, "f32", list(backend.down.data.shape), backend.down.data))
-            entries.append((backend.up.name, "f32", list(backend.up.data.shape), backend.up.data))
-        elif isinstance(backend, LoraLinear):
-            if isinstance(backend.base, QuantizedLinear):
-                entries.extend(_quant_entries(backend.base.name, backend.base.q))
-            else:
-                entries.append((backend.base.weight.name, "f32",
-                                list(backend.base.weight.data.shape), backend.base.weight.data))
-            entries.append((backend.down.name, "f32", list(backend.down.data.shape), backend.down.data))
-            entries.append((backend.up.name, "f32", list(backend.up.data.shape), backend.up.data))
-            merged[path] = backend.merged
-        elif isinstance(backend, BlendLinear):
-            entries.append((backend.base.name, "f32", list(backend.base.data.shape), backend.base.data))
-            entries.append((backend.down.name, "f32", list(backend.down.data.shape), backend.down.data))
-            entries.append((backend.up.name, "f32", list(backend.up.data.shape), backend.up.data))
-        elif isinstance(backend, QuantizedLinear):
-            entries.extend(_quant_entries(backend.name, backend.q))
+    for name, data in model.tensors():
+        if isinstance(data, QuantizedMatrix):
+            entries.append((name, f"u{data.bits}q", [data.rows, data.cols], data.codes))
+            entries.append((name + ".scale", "f32", list(data.scale.shape), data.scale))
+            entries.append((name + ".offset", "f32", list(data.offset.shape), data.offset))
         else:
-            raise CheckpointError(f"{path}: cannot serialize backend {type(backend).__name__}")
-    for layer in model.layers:
-        entries.append((layer.norm1.name, "f32", list(layer.norm1.data.shape), layer.norm1.data))
-        entries.append((layer.norm2.name, "f32", list(layer.norm2.data.shape), layer.norm2.data))
+            entries.append((name, "f32", list(data.shape), data))
     entries.sort(key=lambda e: e[0])
-    return entries, merged
+    return entries
 
 
 def save_checkpoint(path, model: DecoderModel) -> None:
     if model.dtype != np.float32:
         model = model.astype(np.float32)
-    entries, merged = _collect(model)
 
     table = {}
     offset = 0
     blobs = []
-    for name, tag, shape, array in entries:
-        raw = np.ascontiguousarray(array).astype(_DTYPES[tag], copy=False).tobytes()
-        table[name] = {"dtype": tag, "shape": shape, "offset": offset, "length": len(raw)}
-        blobs.append((offset, raw))
-        offset += len(raw)
-        offset += (-offset) % ALIGN
+    for name, tag, shape, array in _entries(model):
+        raw = np.ascontiguousarray(array).astype(_DTYPES[tag], copy=False)
+        table[name] = {"dtype": tag, "shape": shape, "offset": offset, "length": raw.nbytes}
+        blobs.append(raw)
+        offset += raw.nbytes + (-raw.nbytes) % ALIGN
 
     header = {
         "layer_specs": {k: v.to_dict() for k, v in model.specs.items()},
-        "merged": merged,
+        "merged": {p: m.merged for p, m in model.named_matrices() if m.merged is not None},
         "model_config": model.config.to_dict(),
         "tensors": table,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-    out = bytearray()
-    out += MAGIC
-    out += VERSION.to_bytes(4, "little")
-    out += len(header_bytes).to_bytes(8, "little")
-    out += header_bytes
-    out += b"\x00" * ((-len(out)) % ALIGN)
-    payload_start = len(out)
-    out += b"\x00" * offset
-    for off, raw in blobs:
-        out[payload_start + off : payload_start + off + len(raw)] = raw
-    Path(path).write_bytes(bytes(out))
+    head = MAGIC + VERSION.to_bytes(4, "little") + len(header_bytes).to_bytes(8, "little") + header_bytes
+    chunks = [head, b"\x00" * ((-len(head)) % ALIGN)]
+    for raw in blobs:
+        chunks += [raw.data, b"\x00" * ((-raw.nbytes) % ALIGN)]
+    Path(path).write_bytes(b"".join(chunks))
 
 
-def _read_header(data: bytes):
-    if len(data) < 16 or data[:4] != MAGIC:
+def _read_header(data: np.ndarray):
+    if len(data) < 16 or data[:4].tobytes() != MAGIC:
         raise CheckpointError("not a checkpoint: bad magic")
-    version = int.from_bytes(data[4:8], "little")
+    version = int.from_bytes(data[4:8].tobytes(), "little")
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}, expected {VERSION}")
-    hlen = int.from_bytes(data[8:16], "little")
+    hlen = int.from_bytes(data[8:16].tobytes(), "little")
     if 16 + hlen > len(data):
         raise CheckpointError("truncated checkpoint: header runs past end of file")
     try:
-        header = json.loads(data[16 : 16 + hlen].decode("utf-8"))
+        header = json.loads(data[16 : 16 + hlen].tobytes().decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt header: {exc}") from exc
+    sections = ("model_config", "layer_specs", "tensors")
+    if not isinstance(header, dict) or not all(isinstance(header.get(k), dict) for k in sections) \
+            or not isinstance(header.get("merged", {}), dict):
+        raise CheckpointError(f"corrupt header: {', '.join(sections)} and merged must be objects")
     payload_start = 16 + hlen
     payload_start += (-payload_start) % ALIGN
     return header, payload_start
 
 
 def _validate_table(table: dict, payload_len: int):
+    """Check every entry's keys, dtype tag, shape, length and bounds, and that
+    no two overlap, before any tensor is read."""
     spans = []
     for name, ent in table.items():
-        off, length = ent["offset"], ent["length"]
+        missing = [k for k in _ENTRY_KEYS if not isinstance(ent, dict) or k not in ent]
+        if missing:
+            raise CheckpointError(f"{name}: table entry is missing {missing}")
+        tag, shape, off, length = (ent[k] for k in _ENTRY_KEYS)
+        if tag not in _DTYPES:
+            raise CheckpointError(f"{name}: unknown dtype tag {tag!r}")
+        ints = [off, length] + (shape if isinstance(shape, list) else [None])
+        if not all(isinstance(v, int) and v >= 0 for v in ints) or (tag in _QBITS and len(shape) != 2):
+            raise CheckpointError(f"{name}: malformed shape {shape!r}, offset {off!r} or length {length!r}")
+        stored = [shape[0], (shape[1] + 1) // 2] if tag == "u4q" else shape
+        if length != int(np.prod(stored)) * _DTYPES[tag].itemsize:
+            raise CheckpointError(f"{name}: length {length} does not hold a {tag} tensor of shape {shape}")
         if off % ALIGN:
             raise CheckpointError(f"{name}: offset {off} not {ALIGN}-byte aligned")
-        if off < 0 or off + length > payload_len:
+        if off + length > payload_len:
             raise CheckpointError(f"{name}: tensor bytes run past end of file (truncated?)")
         spans.append((off, off + length, name))
-        if ent["dtype"] in ("u8q", "u4q"):
+        if tag in _QBITS:
             for companion in (name + ".scale", name + ".offset"):
                 if companion not in table:
                     raise CheckpointError(f"{name}: missing companion tensor {companion}")
@@ -178,68 +135,51 @@ def _validate_table(table: dict, payload_len: int):
 
 
 def load_checkpoint(path) -> DecoderModel:
-    data = Path(path).read_bytes()
+    """Build the model straight from the tensor table: every tensor is a view
+    of the file's bytes, checked against the config and layer specs first."""
+    data = np.fromfile(path, dtype=np.uint8)
     header, payload_start = _read_header(data)
     table = header["tensors"]
     _validate_table(table, len(data) - payload_start)
+    consumed = set()
 
-    def fetch(name, expect_tag=None):
-        if name not in table:
+    def read(name, shape, tag="f32"):
+        ent = table.get(name)
+        if ent is None:
             raise CheckpointError(f"checkpoint is missing tensor {name}")
-        ent = table[name]
-        if expect_tag and ent["dtype"] != expect_tag:
-            raise CheckpointError(f"{name}: expected dtype {expect_tag}, found {ent['dtype']}")
-        raw = data[payload_start + ent["offset"] : payload_start + ent["offset"] + ent["length"]]
-        arr = np.frombuffer(raw, dtype=_DTYPES[ent["dtype"]]).copy()
-        if ent["dtype"] in ("f32", "f16"):
-            arr = arr.reshape(ent["shape"]).astype(np.float32)
-        return arr, ent
+        if ent["dtype"] != tag:
+            raise CheckpointError(f"{name}: expected dtype {tag}, found {ent['dtype']}")
+        if ent["shape"] != list(shape):
+            raise CheckpointError(f"{name}: shape {ent['shape']} disagrees with {list(shape)} from the header")
+        consumed.add(name)
+        start = payload_start + ent["offset"]
+        raw = data[start : start + ent["length"]]
+        return raw.view(_DTYPES["f32"]).reshape(shape) if tag == "f32" else raw.reshape(shape[0], -1)
 
-    def fetch_quant(name):
-        codes, ent = fetch(name)
-        rows, cols = ent["shape"]
-        bits = 4 if ent["dtype"] == "u4q" else 8
-        packed_cols = (cols + 1) // 2 if bits == 4 else cols
-        scale, _ = fetch(name + ".scale", "f32")
-        offs, _ = fetch(name + ".offset", "f32")
-        return QuantizedMatrix(
-            rows=rows, cols=cols, bits=bits,
-            codes=codes.reshape(rows, packed_cols),
-            scale=scale, offset=offs,
-        )
+    # Not recursive: a closure that refers to itself would keep the file's
+    # buffer alive in a reference cycle until the next garbage collection.
+    def draw(name, shape, init="normal", bits=None):
+        if not bits:
+            return read(name, shape)
+        rows, cols = shape
+        return QuantizedMatrix(rows=rows, cols=cols, bits=bits, codes=read(name, shape, f"u{bits}q"),
+                               scale=read(name + ".scale", (rows,)), offset=read(name + ".offset", (rows,)))
 
-    config = ModelConfig(**header["model_config"])
-    specs = {k: LayerSpec.from_dict(v) for k, v in header["layer_specs"].items()}
-    model = build_model(config, specs, seed=0)
+    try:
+        config = ModelConfig.from_dict(header["model_config"])
+        specs = full_specs({k: LayerSpec.from_dict(v) for k, v in header["layer_specs"].items()})
+        model = assemble_model(config, specs, draw, np.float32,
+                               stored_bits=lambda name: _QBITS.get(table.get(name, {}).get("dtype")))
+    except ModelError as exc:
+        raise CheckpointError(f"header does not describe a model: {exc}") from exc
+    unused = sorted(set(table) - consumed)
+    if unused:
+        raise CheckpointError(f"tensors the model does not use: {unused}")
 
-    for path_name, backend, setter in _matrix_slots(model):
-        if isinstance(backend, (DenseLinear, DenseEmbedding)):
-            arr, _ = fetch(backend.weight.name, "f32")
-            backend.weight.data = arr.reshape(backend.weight.data.shape)
-        elif isinstance(backend, (LowRankLinear, LowRankEmbedding)):
-            backend.down.data = fetch(backend.down.name, "f32")[0].reshape(backend.down.data.shape)
-            backend.up.data = fetch(backend.up.name, "f32")[0].reshape(backend.up.data.shape)
-        elif isinstance(backend, LoraLinear):
-            base_name = path_name + ".base"
-            if table.get(base_name, {}).get("dtype") in ("u8q", "u4q"):
-                backend.base = QuantizedLinear(base_name, fetch_quant(base_name))
-            else:
-                arr, _ = fetch(base_name + ".weight", "f32")
-                backend.base = DenseLinear(base_name, arr, trainable=False)
-            backend.down.data = fetch(backend.down.name, "f32")[0].reshape(backend.down.data.shape)
-            backend.up.data = fetch(backend.up.name, "f32")[0].reshape(backend.up.data.shape)
-            if header.get("merged", {}).get(path_name):
-                backend.merged = False  # re-fold to regenerate the merged weight
-                from .lowrank import lora_merge
-
-                lora_merge(backend)
-        elif isinstance(backend, BlendLinear):
-            backend.base.data = fetch(backend.base.name, "f32")[0].reshape(backend.base.data.shape)
-            backend.down.data = fetch(backend.down.name, "f32")[0].reshape(backend.down.data.shape)
-            backend.up.data = fetch(backend.up.name, "f32")[0].reshape(backend.up.data.shape)
-        elif isinstance(backend, QuantizedLinear):
-            setter(QuantizedLinear(backend.name, fetch_quant(backend.name)))
-    for layer in model.layers:
-        layer.norm1.data = fetch(layer.norm1.name, "f32")[0].reshape(layer.norm1.data.shape)
-        layer.norm2.data = fetch(layer.norm2.name, "f32")[0].reshape(layer.norm2.data.shape)
+    mats = dict(model.named_matrices())
+    for name, flag in header.get("merged", {}).items():
+        if getattr(mats.get(name), "merged", None) is None:
+            raise CheckpointError(f"merged flag for {name}, which holds no adapter")
+        if flag:
+            lora_merge(mats[name])
     return model

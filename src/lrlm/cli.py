@@ -71,9 +71,9 @@ def _model_config_from(section: dict) -> tuple[ModelConfig, str]:
         overrides = {k: v for k, v in section.items() if k != "preset"}
         if overrides:
             merged = {**preset.config.to_dict(), **overrides}
-            return ModelConfig(**merged), preset.arch
+            return ModelConfig.from_dict(merged), preset.arch
         return preset.config, preset.arch
-    return ModelConfig(**section), "llama"
+    return ModelConfig.from_dict(section), "llama"
 
 
 def _policy_from(train_section: dict) -> RecomputePolicy:

@@ -12,7 +12,6 @@ from .costmodel import GRAD_BYTES, OPTIMIZER_BYTES, GB
 from .trainer import AdamWState, TrainConfig, adamw_step
 from .transformer import (
     DecoderModel,
-    LoraLinear,
     ModelError,
     cross_entropy_grad,
     cross_entropy_loss,
@@ -264,12 +263,7 @@ def federated_comm_report(cfg: FederatedConfig) -> FederatedReport:
 
 def _trainable_names(model: DecoderModel, mode: str) -> list:
     if mode == "lora":
-        names = []
-        mats = [m for layer in model.layers for m in layer.matrices().values()]
-        mats.append(model.head)
-        for m in mats:
-            if isinstance(m, LoraLinear):
-                names.extend([m.down.name, m.up.name])
+        names = [p.name for _, m in model.named_matrices() if m.paired for p in (m.down, m.up)]
         if not names:
             raise ModelError("lora federation requires adapters on the replicas")
         return sorted(names)

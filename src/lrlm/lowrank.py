@@ -7,23 +7,23 @@ Orientation is fixed as down-then-up: y = up @ (down @ x), with down = V_r^T
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg, thread_cap
-from .quant import dequantize_rows
+from .quant import QuantizedMatrix, dequantize_rows
 from .transformer import (
     BlendLinear,
-    DecoderLayer,
     DecoderModel,
     DenseLinear,
-    LayerSpec,
+    Embedding,
+    Linear,
     LoraLinear,
     LowRankEmbedding,
     LowRankLinear,
-    MATRIX_NAMES,
     ModelError,
     QuantizedLinear,
 )
@@ -92,16 +92,18 @@ def decompose_linear(w: np.ndarray, r: int) -> LowRankFactors:
 
 
 def _decompose_backend(mat, r: int):
-    if isinstance(mat, DenseLinear):
-        w = mat.weight.data
-    elif isinstance(mat, QuantizedLinear):
-        w = dequantize_rows(mat.q, dtype=np.float32)
-    else:
+    if mat.weight is None or mat.down is not None:
         raise ModelError(f"{mat.name}: cannot decompose a {mat.kind} matrix")
+    w = mat.weight.data
+    if isinstance(w, QuantizedMatrix):
+        w = dequantize_rows(w, dtype=np.float32)
+    embedding = isinstance(mat, Embedding)
+    if embedding:
+        w = w.T  # a (vocab, dim) table is the transpose of its linear-equivalent weight
     if r >= min(w.shape):
         raise ModelError(f"{mat.name}: rank {r} does not reduce a {w.shape} matrix")
     f = decompose_linear(w, r)
-    return LowRankLinear(mat.name, f.down, f.up)
+    return (LowRankEmbedding if embedding else LowRankLinear)(mat.name, f.down, f.up)
 
 
 def decompose_model(
@@ -110,28 +112,16 @@ def decompose_model(
     worker_count: int | None = None,
     targets=None,
 ) -> DecoderModel:
-    """Replace every targeted linear layer with its rank-r SVD factors.
+    """Replace every targeted matrix (by default all, the embedding table
+    included) with its rank-r SVD factors.
 
     Matrices are decomposed independently (one worker each, pool size capped by
     worker_count / LRLM_THREADS); the result is bit-stable regardless of
     scheduling because each matrix is reassembled under its own key.
     """
     targets = tuple(targets or ("wq", "wk", "wv", "wo", "wu", "wg", "wd", "we", "wh"))
-    for t in targets:
-        if t not in MATRIX_NAMES:
-            raise ModelError(f"unknown matrix name {t!r}")
     workers = worker_count if worker_count is not None else thread_cap()
-
-    jobs: dict[str, object] = {}
-    for layer in model.layers:
-        for name, mat in layer.matrices().items():
-            if name in targets:
-                jobs[f"layers.{layer.index}.{name}"] = mat
-    if "wh" in targets:
-        jobs["head"] = model.head
-
-    results: dict[str, LowRankLinear] = {}
-    failures: dict[str, Exception] = {}
+    jobs = model.named_matrices(targets)
 
     def run(key_mat):
         key, mat = key_mat
@@ -142,48 +132,23 @@ def decompose_model(
 
     if workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for key, res in pool.map(run, jobs.items()):
-                (failures if isinstance(res, Exception) else results)[key] = res
+            done = dict(pool.map(run, jobs))
     else:
-        for item in jobs.items():
-            key, res = run(item)
-            (failures if isinstance(res, Exception) else results)[key] = res
+        done = dict(map(run, jobs))
+    failures = sorted(k for k, res in done.items() if isinstance(res, Exception))
     if failures:
-        key = sorted(failures)[0]
-        raise ModelError(f"decomposition failed for {key}: {failures[key]}") from failures[key]
-
-    embed = model.embed
-    if "we" in targets:
-        if not hasattr(model.embed, "weight"):
-            raise ModelError("embed: cannot decompose a non-dense embedding")
-        table = model.embed.weight.data  # (vocab, dim); linear-equivalent weight is its transpose
-        if r >= min(table.shape):
-            raise ModelError(f"embed: rank {r} does not reduce a {table.shape} table")
-        f = decompose_linear(table.T, r)
-        embed = LowRankEmbedding("embed", f.down, f.up)
-
-    layers = [
-        DecoderLayer(
-            layer.index,
-            layer.norm1,
-            layer.norm2,
-            {
-                name: results.get(f"layers.{layer.index}.{name}", mat)
-                for name, mat in layer.matrices().items()
-            },
-        )
-        for layer in model.layers
-    ]
-    head = results.get("head", model.head)
-    specs = dict(model.specs)
-    for t in targets:
-        specs[t] = LayerSpec(kind="lowrank", r=r)
-    return DecoderModel(model.config, specs, embed, layers, head, model.dtype)
+        raise ModelError(f"decomposition failed for {failures[0]}: {done[failures[0]]}") from done[failures[0]]
+    return model.map_matrices(lambda mat: done[mat.name], targets)
 
 
 # ---------------------------------------------------------------------------
 # LoRA
 # ---------------------------------------------------------------------------
+
+
+def _check_rank(mat: Linear, r: int):
+    if r >= min(mat.fan_in, mat.fan_out):
+        raise ModelError(f"{mat.name}: rank {r} must be < min(fan_in, fan_out)")
 
 
 def attach_adapters(model: DecoderModel, r: int, targets=("wq", "wv"), seed: int = 0) -> DecoderModel:
@@ -193,48 +158,24 @@ def attach_adapters(model: DecoderModel, r: int, targets=("wq", "wv"), seed: int
     adapter is initially the identity delta.
     """
     targets = tuple(targets)
-    for t in targets:
-        if t == "we":
-            raise ModelError("adapters on the embedding lookup are not supported")
-        if t not in MATRIX_NAMES:
-            raise ModelError(f"unknown matrix name {t!r}")
-
-    counter = [0]
+    if "we" in targets:
+        raise ModelError("adapters on the embedding lookup are not supported")
+    counter = itertools.count(1)
 
     def wrap(mat):
-        counter[0] += 1
-        if isinstance(mat, DenseLinear):
-            base = DenseLinear(mat.name + ".base", mat.weight.data, trainable=False)
-        elif isinstance(mat, QuantizedLinear):
-            base = QuantizedLinear(mat.name + ".base", mat.q)
-        else:
+        i = next(counter)
+        if mat.kind not in ("dense", "quantized"):
             raise ModelError(f"{mat.name}: adapters need a dense or quantized base, found {mat.kind}")
-        fan_out, fan_in = base.fan_out, base.fan_in
-        if r >= min(fan_in, fan_out):
-            raise ModelError(f"{mat.name}: rank {r} must be < min(fan_in, fan_out)")
-        down = linalg.seeded_random(
-            r, fan_in, seed * 7919 + counter[0], "gaussian", std=0.02, dtype=model.dtype
-        )
-        up = np.zeros((fan_out, r), dtype=model.dtype)
-        return LoraLinear(mat.name, base, down, up)
+        _check_rank(mat, r)
+        name, w = mat.name + ".base", mat.weight.data
+        base = QuantizedLinear(name, w) if mat.kind == "quantized" else DenseLinear(name, w, trainable=False)
+        down = linalg.seeded_random(r, mat.fan_in, seed * 7919 + i, "gaussian", std=0.02, dtype=model.dtype)
+        return LoraLinear(mat.name, base, down, np.zeros((mat.fan_out, r), dtype=model.dtype))
 
-    layers = [
-        DecoderLayer(
-            layer.index,
-            layer.norm1,
-            layer.norm2,
-            {name: (wrap(mat) if name in targets else mat) for name, mat in layer.matrices().items()},
-        )
-        for layer in model.layers
-    ]
-    head = wrap(model.head) if "wh" in targets else model.head
-    specs = dict(model.specs)
-    for t in targets:
-        specs[t] = LayerSpec(kind="lora", r=r)
-    return DecoderModel(model.config, specs, model.embed, layers, head, model.dtype)
+    return model.map_matrices(wrap, targets)
 
 
-def lora_forward(adapter: LoraLinear, x: np.ndarray) -> np.ndarray:
+def lora_forward(adapter: Linear, x: np.ndarray) -> np.ndarray:
     """base(x) + up @ (down @ x); quantized bases stay in code form."""
     x = np.asarray(x)
     if x.shape[-1] != adapter.fan_in:
@@ -242,16 +183,16 @@ def lora_forward(adapter: LoraLinear, x: np.ndarray) -> np.ndarray:
     return adapter.forward(x)
 
 
-def lora_merge(adapter: LoraLinear) -> np.ndarray:
+def lora_merge(adapter: Linear) -> np.ndarray:
     """Fold the delta into the base: W + up @ down. Full-precision bases only."""
     if adapter.merged:
         raise ModelError(f"{adapter.name}: adapter already merged")
-    if isinstance(adapter.base, QuantizedLinear):
+    if isinstance(adapter.weight.data, QuantizedMatrix):
         raise ModelError(
             f"{adapter.name}: cannot merge onto a quantized base; dequantize it explicitly first"
         )
     delta = linalg.matmul(adapter.up.data, adapter.down.data)
-    merged = adapter.base.weight.data + delta
+    merged = adapter.weight.data + delta
     adapter.merged = True
     adapter._merged_weight = merged
     return merged
@@ -259,26 +200,7 @@ def lora_merge(adapter: LoraLinear) -> np.ndarray:
 
 def merge_model(model: DecoderModel) -> DecoderModel:
     """Merge every LoRA adapter in the model into plain dense matrices."""
-    specs = dict(model.specs)
-
-    def fold(name, mat):
-        if isinstance(mat, LoraLinear):
-            merged = lora_merge(mat)
-            specs[name] = LayerSpec(kind="dense")
-            return DenseLinear(mat.name, merged)
-        return mat
-
-    layers = [
-        DecoderLayer(
-            layer.index,
-            layer.norm1,
-            layer.norm2,
-            {name: fold(name, mat) for name, mat in layer.matrices().items()},
-        )
-        for layer in model.layers
-    ]
-    head = fold("wh", model.head)
-    return DecoderModel(model.config, specs, model.embed, layers, head, model.dtype)
+    return model.map_matrices(lambda m: DenseLinear(m.name, lora_merge(m)) if m.kind == "lora" else m)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +208,7 @@ def merge_model(model: DecoderModel) -> DecoderModel:
 # ---------------------------------------------------------------------------
 
 
-def blend_forward(layer: BlendLinear, x: np.ndarray, step: int) -> np.ndarray:
+def blend_forward(layer: Linear, x: np.ndarray, step: int) -> np.ndarray:
     """alpha(step) * base(x) + (1 - alpha(step)) * low-rank path."""
     return layer.forward(np.asarray(x), step)
 
@@ -297,25 +219,12 @@ def collapse_blend(model: DecoderModel, step: int) -> DecoderModel:
     Once alpha hits 0 the layer is exactly its low-rank path, so the result is
     a plain low-rank model. Layers still mid-schedule are left untouched.
     """
-    specs = dict(model.specs)
-
-    def fold(name, mat):
-        if isinstance(mat, BlendLinear) and mat.alpha(step) == 0.0:
-            specs[name] = LayerSpec(kind="lowrank", r=mat.down.data.shape[0])
+    def fold(mat):
+        if mat.kind == "blend" and mat.alpha(step) == 0.0:
             return LowRankLinear(mat.name, mat.down.data, mat.up.data)
         return mat
 
-    layers = [
-        DecoderLayer(
-            layer.index,
-            layer.norm1,
-            layer.norm2,
-            {name: fold(name, mat) for name, mat in layer.matrices().items()},
-        )
-        for layer in model.layers
-    ]
-    head = fold("wh", model.head)
-    return DecoderModel(model.config, specs, model.embed, layers, head, model.dtype)
+    return model.map_matrices(fold)
 
 
 def blend_model(
@@ -328,39 +237,17 @@ def blend_model(
 ) -> DecoderModel:
     """Put trainable low-rank factors on a parallel path of frozen dense weights."""
     targets = tuple(targets)
-    for t in targets:
-        if t in ("we",):
-            raise ModelError("blend layers on the embedding lookup are not supported")
-        if t not in MATRIX_NAMES:
-            raise ModelError(f"unknown matrix name {t!r}")
-    counter = [0]
+    if "we" in targets:
+        raise ModelError("blend layers on the embedding lookup are not supported")
+    counter = itertools.count(1)
 
     def wrap(mat):
-        counter[0] += 1
-        if not isinstance(mat, DenseLinear):
+        i = seed * 104729 + next(counter)
+        if mat.kind != "dense":
             raise ModelError(f"{mat.name}: blend needs a dense base, found {mat.kind}")
-        fan_out, fan_in = mat.fan_out, mat.fan_in
-        if r >= min(fan_in, fan_out):
-            raise ModelError(f"{mat.name}: rank {r} must be < min(fan_in, fan_out)")
-        down = linalg.seeded_random(
-            r, fan_in, seed * 104729 + counter[0], "gaussian", std=0.02, dtype=model.dtype
-        )
-        up = linalg.seeded_random(
-            fan_out, r, seed * 104729 + counter[0] + 500000, "gaussian", std=0.02, dtype=model.dtype
-        )
+        _check_rank(mat, r)
+        down = linalg.seeded_random(r, mat.fan_in, i, "gaussian", std=0.02, dtype=model.dtype)
+        up = linalg.seeded_random(mat.fan_out, r, i + 500000, "gaussian", std=0.02, dtype=model.dtype)
         return BlendLinear(mat.name, mat.weight.data, down, up, start_alpha, end_step)
 
-    layers = [
-        DecoderLayer(
-            layer.index,
-            layer.norm1,
-            layer.norm2,
-            {name: (wrap(mat) if name in targets else mat) for name, mat in layer.matrices().items()},
-        )
-        for layer in model.layers
-    ]
-    head = wrap(model.head) if "wh" in targets else model.head
-    specs = dict(model.specs)
-    for t in targets:
-        specs[t] = LayerSpec(kind="blend", r=r, start_alpha=start_alpha, end_step=end_step)
-    return DecoderModel(model.config, specs, model.embed, layers, head, model.dtype)
+    return model.map_matrices(wrap, targets)

@@ -14,9 +14,7 @@ import numpy as np
 from . import linalg
 from .transformer import (
     STORE_ALL,
-    BlendLinear,
     DecoderModel,
-    LoraLinear,
     RecomputePolicy,
     cross_entropy_grad,
     cross_entropy_loss,
@@ -124,41 +122,27 @@ def adamw_step(state: AdamWState, params: dict, grads: dict, config: TrainConfig
 def configure_trainable(model: DecoderModel, method: str) -> DecoderModel:
     """Set trainable flags to match the training method; returns the model.
 
-    lora_finetune trains only adapter factors; every other tensor is frozen.
-    method3 keeps blend bases frozen (they are frozen by construction) and
-    trains everything else. Remaining methods train all parameters.
+    A full-rank weight that shares its matrix with a factored term (a LoRA or
+    blend base) is frozen under every method. lora_finetune trains only those
+    factored terms; every other method trains all remaining tensors.
     """
     if method not in METHODS:
         raise TrainError(f"unknown method {method!r}")
-    if method == "lora_finetune":
-        for p in model.named_parameters().values():
-            p.trainable = p.name.endswith(".down") or p.name.endswith(".up")
-        # Only adapter factors, not low-rank embeddings/heads that share suffixes.
-        adapters = set()
-        for layer in model.layers:
-            for mat in layer.matrices().values():
-                if isinstance(mat, LoraLinear):
-                    adapters.add(mat.down.name)
-                    adapters.add(mat.up.name)
-        if isinstance(model.head, LoraLinear):
-            adapters.add(model.head.down.name)
-            adapters.add(model.head.up.name)
-        for p in model.named_parameters().values():
-            p.trainable = p.name in adapters
-    else:
-        for p in model.named_parameters().values():
-            p.trainable = not p.name.endswith(".base")
+    paired = [m for _, m in model.named_matrices() if m.paired]
+    factors = {p for m in paired for p in (m.down, m.up)}
+    bases = {m.weight for m in paired}
+    for p in model.named_parameters().values():
+        p.trainable = p in factors if method == "lora_finetune" else p not in bases
     return model
 
 
 def _check_method_layers(model: DecoderModel, method: str):
-    mats = [m for layer in model.layers for m in layer.matrices().values()]
-    mats.append(model.head)
-    if method == "lora_finetune" and not any(isinstance(m, LoraLinear) for m in mats):
+    kinds = {m.kind for _, m in model.named_matrices()}
+    if method == "lora_finetune" and "lora" not in kinds:
         raise TrainError("lora_finetune requires adapters on at least one matrix")
-    if method == "method3" and not any(isinstance(m, BlendLinear) for m in mats):
+    if method == "method3" and "blend" not in kinds:
         raise TrainError("method3 requires blend layers")
-    if method in ("method1", "method2") and not any(m.kind == "lowrank" for m in mats):
+    if method in ("method1", "method2") and "lowrank" not in kinds:
         raise TrainError(f"{method} requires low-rank layers")
 
 
@@ -202,11 +186,8 @@ train_step.last_peak_tape_bytes = 0
 
 
 def _current_alpha(model: DecoderModel, step: int) -> float:
-    for layer in model.layers:
-        for mat in layer.matrices().values():
-            if isinstance(mat, BlendLinear):
-                return mat.alpha(step)
-    return 0.0
+    blends = [m for _, m in model.named_matrices() if m.kind == "blend"]
+    return blends[0].alpha(step) if blends else 0.0
 
 
 @dataclass

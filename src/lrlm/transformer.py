@@ -1,6 +1,6 @@
-"""Decoder-only transformer with hand-written backward, pluggable linear
-backends (dense / low-rank / LoRA / quantized / alpha-blend), recompute
-policies, and KV-cached greedy decoding.
+"""Decoder-only transformer with hand-written backward, one term-sum linear
+map behind every weight (dense / low-rank / LoRA / quantized / alpha-blend),
+recompute policies, and KV-cached greedy decoding.
 
 Layout conventions: activations are (batch, seq, dim); a weight is stored
 (fan_out, fan_in) and applied as x @ W.T. Per-head views reshape dim into
@@ -9,6 +9,9 @@ Layout conventions: activations are (batch, seq, dim); a weight is stored
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -22,6 +25,8 @@ __all__ = [
     "LayerSpec",
     "ModelError",
     "Param",
+    "Linear",
+    "Embedding",
     "DenseLinear",
     "LowRankLinear",
     "LoraLinear",
@@ -54,12 +59,30 @@ RMSNORM_EPS = 1e-5
 INIT_STD = 0.02
 
 MATRIX_NAMES = ("wq", "wk", "wv", "wo", "wu", "wg", "wd", "we", "wh")
-ATTENTION_MATRICES = ("wq", "wk", "wv", "wo")
-FFN_MATRICES = ("wu", "wg", "wd")
+LAYER_MATRICES = ("wq", "wk", "wv", "wo", "wu", "wg", "wd")
 
 
 class ModelError(ValueError):
     pass
+
+
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
+def _from_dict(cls, d, what: str):
+    """cls(**d) for a JSON object, with every key known, present and typed."""
+    if not isinstance(d, dict):
+        raise ModelError(f"{what} must be an object, got {type(d).__name__}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(d) - set(fields))
+    missing = sorted(k for k, f in fields.items() if f.default is dataclasses.MISSING and k not in d)
+    problems = [f"{label} keys {keys}" for label, keys in (("unknown", unknown), ("missing", missing)) if keys]
+    if problems:
+        raise ModelError(f"{what}: " + ", ".join(problems))
+    for k, v in d.items():
+        if isinstance(v, bool) or not isinstance(v, _JSON_TYPES[fields[k].type]):
+            raise ModelError(f"{what}: {k} must be {fields[k].type}, got {v!r}")
+    return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -86,6 +109,10 @@ class ModelConfig:
     @property
     def head_dim(self) -> int:
         return self.dim // self.heads
+
+    @staticmethod
+    def from_dict(d: dict) -> "ModelConfig":
+        return _from_dict(ModelConfig, d, "model config")
 
     def to_dict(self) -> dict:
         return {
@@ -132,7 +159,7 @@ class LayerSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "LayerSpec":
-        return LayerSpec(**d)
+        return _from_dict(LayerSpec, d, "layer spec")
 
 
 class Param:
@@ -167,277 +194,195 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Linear backends
+# Weight matrices as sums of terms
 # ---------------------------------------------------------------------------
 
 
-class DenseLinear:
-    kind = "dense"
+class _Terms:
+    """A weight matrix held as at most one full-rank term and one factored term.
 
-    def __init__(self, name: str, weight: np.ndarray, trainable: bool = True):
+    The full-rank term `weight` is a Param holding a dense array or a
+    QuantizedMatrix; the factored term is the pair `down` (r x fan_in), `up`
+    (fan_out x r). A full-rank term that shares its matrix with a factored
+    term (a LoRA or blend base) is frozen.
+    """
+
+    merged = None  # True/False on LoRA adapters only
+    _merged_weight = None
+
+    def __init__(self, name: str, spec: LayerSpec, weight=None, down=None, up=None):
+        if down is not None and down.data.shape[0] != up.data.shape[1]:
+            raise ModelError(f"{name}: rank mismatch {down.data.shape} vs {up.data.shape}")
         self.name = name
-        self.weight = Param(name + ".weight", weight, trainable)
+        self.spec = spec
+        self.weight = weight
+        self.down = down
+        self.up = up
+        if self.paired:
+            weight.trainable = False
 
     @property
-    def fan_out(self):
-        return self.weight.data.shape[0]
+    def paired(self) -> bool:
+        """True when a full-rank term shares the matrix with a factored term."""
+        return self.weight is not None and self.down is not None
 
     @property
-    def fan_in(self):
-        return self.weight.data.shape[1]
+    def kind(self) -> str:
+        return self.spec.kind
 
-    def params(self):
-        return [self.weight]
+    def terms(self) -> list:
+        return [p for p in (self.weight, self.down, self.up) if p is not None]
 
-    def forward(self, x, step: int = 0):
-        return _mm(x, self.weight.data.T)
-
-    def backward(self, x, dy, grads, step: int = 0):
-        _accumulate(grads, self.weight, _mm(_flat2(dy).T, _flat2(x)))
-        return _mm(dy, self.weight.data)
+    def params(self) -> list:
+        """The terms an optimizer can update (quantized terms are code grids)."""
+        return [p for p in self.terms() if not isinstance(p.data, QuantizedMatrix)]
 
     def astype(self, dtype):
-        return DenseLinear(self.name, self.weight.data.astype(dtype), self.weight.trainable)
+        def cast(p):
+            if p is None or isinstance(p.data, QuantizedMatrix):
+                return p
+            return Param(p.name, p.data.astype(dtype), p.trainable)
 
-
-class LowRankLinear:
-    """Two narrow layers: y = up @ (down @ x); never materializes up @ down."""
-
-    kind = "lowrank"
-
-    def __init__(self, name: str, down: np.ndarray, up: np.ndarray, trainable: bool = True):
-        if down.shape[0] != up.shape[1]:
-            raise ModelError(f"{name}: rank mismatch {down.shape} vs {up.shape}")
-        self.name = name
-        self.down = Param(name + ".down", down, trainable)
-        self.up = Param(name + ".up", up, trainable)
-
-    @property
-    def rank(self):
-        return self.down.data.shape[0]
-
-    @property
-    def fan_out(self):
-        return self.up.data.shape[0]
-
-    @property
-    def fan_in(self):
-        return self.down.data.shape[1]
-
-    def params(self):
-        return [self.down, self.up]
-
-    def forward(self, x, step: int = 0):
-        return _mm(_mm(x, self.down.data.T), self.up.data.T)
-
-    def backward(self, x, dy, grads, step: int = 0):
-        hidden = _mm(x, self.down.data.T)
-        _accumulate(grads, self.up, _mm(_flat2(dy).T, _flat2(hidden)))
-        dh = _mm(dy, self.up.data)
-        _accumulate(grads, self.down, _mm(_flat2(dh).T, _flat2(x)))
-        return _mm(dh, self.down.data)
-
-    def astype(self, dtype):
-        return LowRankLinear(
-            self.name, self.down.data.astype(dtype), self.up.data.astype(dtype), self.down.trainable
-        )
-
-
-class QuantizedLinear:
-    """Frozen quantized weight; forward/backward never dequantize the full grid."""
-
-    kind = "quantized"
-
-    def __init__(self, name: str, q: QuantizedMatrix):
-        self.name = name
-        self.q = q
-
-    @property
-    def fan_out(self):
-        return self.q.rows
-
-    @property
-    def fan_in(self):
-        return self.q.cols
-
-    def params(self):
-        return []
-
-    def forward(self, x, step: int = 0):
-        return qmatmul(self.q, x).astype(x.dtype, copy=False)
-
-    def backward(self, x, dy, grads, step: int = 0):
-        return qmatmul_t(self.q, dy).astype(dy.dtype, copy=False)
-
-    def astype(self, dtype):
-        return self
-
-
-class LoraLinear:
-    """Frozen base plus trainable low-rank delta: y = base(x) + up @ (down @ x)."""
-
-    kind = "lora"
-
-    def __init__(self, name: str, base, down: np.ndarray, up: np.ndarray):
-        self.name = name
-        self.base = base  # DenseLinear (frozen) or QuantizedLinear
-        self.down = Param(name + ".down", down, True)
-        self.up = Param(name + ".up", up, True)
-        self.merged = False
-        self._merged_weight = None
-
-    @property
-    def rank(self):
-        return self.down.data.shape[0]
-
-    @property
-    def fan_out(self):
-        return self.up.data.shape[0]
-
-    @property
-    def fan_in(self):
-        return self.down.data.shape[1]
-
-    def params(self):
-        return self.base.params() + [self.down, self.up]
-
-    def forward(self, x, step: int = 0):
-        if self.merged:
-            return _mm(x, self._merged_weight.T)
-        y = self.base.forward(x, step)
-        return y + _mm(_mm(x, self.down.data.T), self.up.data.T)
-
-    def backward(self, x, dy, grads, step: int = 0):
-        if self.merged:
-            raise ModelError(f"{self.name}: merged adapter is inference-only")
-        hidden = _mm(x, self.down.data.T)
-        _accumulate(grads, self.up, _mm(_flat2(dy).T, _flat2(hidden)))
-        dh = _mm(dy, self.up.data)
-        _accumulate(grads, self.down, _mm(_flat2(dh).T, _flat2(x)))
-        dx = self.base.backward(x, dy, grads, step)
-        return dx + _mm(dh, self.down.data)
-
-    def astype(self, dtype):
-        clone = LoraLinear(
-            self.name, self.base.astype(dtype), self.down.data.astype(dtype), self.up.data.astype(dtype)
-        )
+        clone = type(self)(self.name, self.spec, cast(self.weight), cast(self.down), cast(self.up))
         clone.merged = self.merged
         if self._merged_weight is not None:
             clone._merged_weight = self._merged_weight.astype(dtype)
         return clone
 
 
-class BlendLinear:
-    """y = alpha(step) * base(x) + (1 - alpha(step)) * up @ (down @ x).
+class Linear(_Terms):
+    """y = a * W(x) + b * up @ (down @ x), x (..., fan_in) -> (..., fan_out).
 
-    alpha decays linearly from start_alpha to 0 at end_step and stays clamped;
-    the base weight is frozen from step 0.
+    The coefficients are 1 and 1, or alpha(step) and 1 - alpha(step) for a
+    blend, where alpha decays linearly from start_alpha to 0 at end_step and
+    stays clamped. up @ down is never materialized and a quantized W is never
+    dequantized. A merged LoRA adapter runs its folded weight, inference only.
     """
-
-    kind = "blend"
-
-    def __init__(self, name: str, base_weight: np.ndarray, down, up, start_alpha: float, end_step: int):
-        self.name = name
-        self.base = Param(name + ".base", base_weight, trainable=False)
-        self.down = Param(name + ".down", down, True)
-        self.up = Param(name + ".up", up, True)
-        self.start_alpha = float(start_alpha)
-        self.end_step = int(end_step)
 
     @property
     def fan_out(self):
-        return self.up.data.shape[0]
+        return self.up.data.shape[0] if self.weight is None else _rows_cols(self.weight.data)[0]
 
     @property
     def fan_in(self):
-        return self.down.data.shape[1]
+        return self.down.data.shape[1] if self.weight is None else _rows_cols(self.weight.data)[1]
+
+    @property
+    def start_alpha(self):
+        return self.spec.start_alpha
+
+    @property
+    def end_step(self):
+        return self.spec.end_step
 
     def alpha(self, step: int) -> float:
         if step < 0:
             raise ModelError("step must be >= 0")
-        frac = 1.0 - step / self.end_step
-        return self.start_alpha * min(max(frac, 0.0), 1.0)
+        frac = 1.0 - step / self.spec.end_step
+        return self.spec.start_alpha * min(max(frac, 0.0), 1.0)
 
-    def params(self):
-        return [self.base, self.down, self.up]
+    def _coefficients(self, step: int):
+        if self.spec.kind != "blend":
+            return 1.0, 1.0
+        a = self.alpha(step)
+        return a, 1.0 - a
 
     def forward(self, x, step: int = 0):
-        a = self.alpha(step)
-        low = _mm(_mm(x, self.down.data.T), self.up.data.T)
-        if a == 0.0:
-            return low
-        return a * _mm(x, self.base.data.T) + (1.0 - a) * low
+        if self.merged:
+            return _mm(x, self._merged_weight.T)
+        a, b = self._coefficients(step)
+        y = None
+        if self.weight is not None and a != 0.0:
+            w = self.weight.data
+            if isinstance(w, QuantizedMatrix):
+                y = qmatmul(w, x).astype(x.dtype, copy=False)
+            else:
+                y = _mm(x, w.T)
+            if a != 1.0:
+                y = a * y
+        if self.down is not None:
+            low = _mm(_mm(x, self.down.data.T), self.up.data.T)
+            if b != 1.0:
+                low = b * low
+            y = low if y is None else y + low
+        return y
 
     def backward(self, x, dy, grads, step: int = 0):
-        a = self.alpha(step)
-        dy_low = (1.0 - a) * dy
-        hidden = _mm(x, self.down.data.T)
-        _accumulate(grads, self.up, _mm(_flat2(dy_low).T, _flat2(hidden)))
-        dh = _mm(dy_low, self.up.data)
-        _accumulate(grads, self.down, _mm(_flat2(dh).T, _flat2(x)))
-        dx = _mm(dh, self.down.data)
-        if a != 0.0:
-            dx = dx + a * _mm(dy, self.base.data)
+        if self.merged:
+            raise ModelError(f"{self.name}: merged adapter is inference-only")
+        a, b = self._coefficients(step)
+        dx = None
+        if self.down is not None:
+            dy_low = dy if b == 1.0 else b * dy
+            hidden = _mm(x, self.down.data.T)
+            _accumulate(grads, self.up, _mm(_flat2(dy_low).T, _flat2(hidden)))
+            dh = _mm(dy_low, self.up.data)
+            _accumulate(grads, self.down, _mm(_flat2(dh).T, _flat2(x)))
+            dx = _mm(dh, self.down.data)
+        if self.weight is not None and a != 0.0:
+            w = self.weight.data
+            if isinstance(w, QuantizedMatrix):
+                dx_full = qmatmul_t(w, dy).astype(dy.dtype, copy=False)
+            else:
+                if self.weight.trainable:  # only when alone, so its coefficient is 1
+                    _accumulate(grads, self.weight, _mm(_flat2(dy).T, _flat2(x)))
+                dx_full = _mm(dy, w)
+            if a != 1.0:
+                dx_full = a * dx_full
+            dx = dx_full if dx is None else dx + dx_full
         return dx
 
-    def astype(self, dtype):
-        return BlendLinear(
-            self.name,
-            self.base.data.astype(dtype),
-            self.down.data.astype(dtype),
-            self.up.data.astype(dtype),
-            self.start_alpha,
-            self.end_step,
-        )
+
+def _rows_cols(w) -> tuple:
+    return (w.rows, w.cols) if isinstance(w, QuantizedMatrix) else w.shape
 
 
-# ---------------------------------------------------------------------------
-# Embedding backends
-# ---------------------------------------------------------------------------
+def DenseLinear(name: str, weight: np.ndarray, trainable: bool = True) -> Linear:
+    return Linear(name, LayerSpec(), weight=Param(name + ".weight", weight, trainable))
 
 
-class DenseEmbedding:
-    kind = "dense"
+def LowRankLinear(name: str, down: np.ndarray, up: np.ndarray, trainable: bool = True) -> Linear:
+    """Two narrow layers: y = up @ (down @ x)."""
+    return Linear(name, LayerSpec("lowrank", r=down.shape[0]),
+                  down=Param(name + ".down", down, trainable), up=Param(name + ".up", up, trainable))
 
-    def __init__(self, name: str, weight: np.ndarray, trainable: bool = True):
-        self.name = name
-        self.weight = Param(name + ".weight", weight, trainable)  # (vocab, dim)
 
-    def params(self):
-        return [self.weight]
+def QuantizedLinear(name: str, q: QuantizedMatrix) -> Linear:
+    """Frozen quantized weight, stored under the matrix name itself."""
+    return Linear(name, LayerSpec("quantized", bits=q.bits), weight=Param(name, q, trainable=False))
+
+
+def LoraLinear(name: str, base: Linear, down: np.ndarray, up: np.ndarray) -> Linear:
+    """Frozen dense or quantized base plus a trainable delta: y = base(x) + up @ (down @ x)."""
+    lin = Linear(name, LayerSpec("lora", r=down.shape[0]), weight=base.weight,
+                 down=Param(name + ".down", down), up=Param(name + ".up", up))
+    lin.merged = False
+    return lin
+
+
+def BlendLinear(name: str, base_weight: np.ndarray, down, up, start_alpha: float, end_step: int) -> Linear:
+    """y = alpha(step) * base(x) + (1 - alpha(step)) * up @ (down @ x), base frozen."""
+    spec = LayerSpec("blend", r=down.shape[0], start_alpha=start_alpha, end_step=end_step)
+    return Linear(name, spec, weight=Param(name + ".base", base_weight, trainable=False),
+                  down=Param(name + ".down", down), up=Param(name + ".up", up))
+
+
+class Embedding(_Terms):
+    """Token lookup from a dense (vocab, dim) table or from factors shaped like
+    a vocab -> dim linear: row(t) = down.T[t] @ up.T."""
 
     def forward(self, tokens):
-        return self.weight.data[tokens]
+        if self.weight is not None:
+            return self.weight.data[tokens]
+        return _mm(self.down.data.T[tokens], self.up.data.T)
 
     def backward(self, tokens, dx, grads):
-        if not self.weight.trainable:
+        if self.weight is not None:
+            if self.weight.trainable:
+                g = np.zeros_like(self.weight.data)
+                np.add.at(g, tokens.ravel(), _flat2(dx))
+                _accumulate(grads, self.weight, g)
             return
-        g = np.zeros_like(self.weight.data)
-        np.add.at(g, tokens.ravel(), _flat2(dx))
-        _accumulate(grads, self.weight, g)
-
-    def astype(self, dtype):
-        return DenseEmbedding(self.name, self.weight.data.astype(dtype), self.weight.trainable)
-
-
-class LowRankEmbedding:
-    """Factored lookup: row(t) = (down.T[t]) @ up.T, factors shaped like a linear."""
-
-    kind = "lowrank"
-
-    def __init__(self, name: str, down: np.ndarray, up: np.ndarray, trainable: bool = True):
-        self.name = name
-        self.down = Param(name + ".down", down, trainable)  # (r, vocab)
-        self.up = Param(name + ".up", up, trainable)        # (dim, r)
-
-    def params(self):
-        return [self.down, self.up]
-
-    def forward(self, tokens):
-        rows = self.down.data.T[tokens]
-        return _mm(rows, self.up.data.T)
-
-    def backward(self, tokens, dx, grads):
         rows = self.down.data.T[tokens]
         _accumulate(grads, self.up, _mm(_flat2(dx).T, _flat2(rows)))
         drows = _mm(dx, self.up.data)
@@ -445,10 +390,14 @@ class LowRankEmbedding:
         np.add.at(gdown, tokens.ravel(), _flat2(drows))
         _accumulate(grads, self.down, gdown.T)
 
-    def astype(self, dtype):
-        return LowRankEmbedding(
-            self.name, self.down.data.astype(dtype), self.up.data.astype(dtype), self.down.trainable
-        )
+
+def DenseEmbedding(name: str, weight: np.ndarray, trainable: bool = True) -> Embedding:
+    return Embedding(name, LayerSpec(), weight=Param(name + ".weight", weight, trainable))
+
+
+def LowRankEmbedding(name: str, down: np.ndarray, up: np.ndarray, trainable: bool = True) -> Embedding:
+    return Embedding(name, LayerSpec("lowrank", r=down.shape[0]),
+                     down=Param(name + ".down", down, trainable), up=Param(name + ".up", up, trainable))
 
 
 # ---------------------------------------------------------------------------
@@ -674,18 +623,13 @@ class DecoderLayer:
         self.wd = mats["wd"]
 
     def matrices(self) -> dict:
-        return {
-            "wq": self.wq, "wk": self.wk, "wv": self.wv, "wo": self.wo,
-            "wu": self.wu, "wg": self.wg, "wd": self.wd,
-        }
+        return {name: getattr(self, name) for name in LAYER_MATRICES}
 
-    def params(self):
-        out = []
-        for m in self.matrices().values():
-            out.extend(m.params())
-        out.append(self.norm1)
-        out.append(self.norm2)
-        return out
+
+def _check_targets(targets):
+    for name in targets:
+        if name not in MATRIX_NAMES:
+            raise ModelError(f"unknown matrix name {name!r}; expected one of {MATRIX_NAMES}")
 
 
 class DecoderModel:
@@ -697,16 +641,42 @@ class DecoderModel:
         self.head = head
         self.dtype = np.dtype(dtype)
 
-    def named_parameters(self) -> dict:
-        out = {}
-        for p in self.embed.params():
-            out[p.name] = p
+    def named_matrices(self, targets=MATRIX_NAMES) -> list:
+        """(path, backend) for every targeted weight matrix: embed, each layer's, head."""
+        _check_targets(targets)
+        out = [("embed", self.embed)] if "we" in targets else []
         for layer in self.layers:
-            for p in layer.params():
-                out[p.name] = p
-        for p in self.head.params():
-            out[p.name] = p
+            out.extend((f"layers.{layer.index}.{k}", m) for k, m in layer.matrices().items() if k in targets)
+        if "wh" in targets:
+            out.append(("head", self.head))
         return out
+
+    def map_matrices(self, fn, targets=MATRIX_NAMES) -> "DecoderModel":
+        """A model whose targeted matrices are replaced by fn(backend), in walk
+        order; specs follow the replaced backends, norms and the rest are shared."""
+        _check_targets(targets)
+        specs = dict(self.specs)
+
+        def swap(name, mat):
+            if name not in targets:
+                return mat
+            new = fn(mat)
+            if new is not mat:
+                specs[name] = new.spec
+            return new
+
+        embed = swap("we", self.embed)
+        layers = [
+            DecoderLayer(l.index, l.norm1, l.norm2, {k: swap(k, m) for k, m in l.matrices().items()})
+            for l in self.layers
+        ]
+        head = swap("wh", self.head)
+        return DecoderModel(self.config, specs, embed, layers, head, self.dtype)
+
+    def named_parameters(self) -> dict:
+        params = [p for _, m in self.named_matrices() for p in m.params()]
+        params += [n for l in self.layers for n in (l.norm1, l.norm2)]
+        return {p.name: p for p in params}
 
     def trainable_parameters(self) -> dict:
         return {k: v for k, v in self.named_parameters().items() if v.trainable}
@@ -715,49 +685,27 @@ class DecoderModel:
         return sum(p.data.size for p in self.named_parameters().values())
 
     def astype(self, dtype) -> "DecoderModel":
-        return DecoderModel(
-            self.config,
-            self.specs,
-            self.embed.astype(dtype),
-            [
-                DecoderLayer(
-                    l.index,
-                    Param(l.norm1.name, l.norm1.data.astype(dtype), l.norm1.trainable),
-                    Param(l.norm2.name, l.norm2.data.astype(dtype), l.norm2.trainable),
-                    {k: m.astype(dtype) for k, m in l.matrices().items()},
-                )
-                for l in self.layers
-            ],
-            self.head.astype(dtype),
-            dtype,
-        )
+        out = self.map_matrices(lambda m: m.astype(dtype))
+        for l in out.layers:
+            l.norm1, l.norm2 = (Param(n.name, n.data.astype(dtype), n.trainable) for n in (l.norm1, l.norm2))
+        out.dtype = np.dtype(dtype)
+        return out
+
+    def tensors(self) -> list:
+        """(name, array or QuantizedMatrix) for every stored tensor, by name."""
+        terms = [p for _, m in self.named_matrices() for p in m.terms()]
+        terms += [n for l in self.layers for n in (l.norm1, l.norm2)]
+        return sorted((p.name, p.data) for p in terms)
 
     def state_signature(self) -> bytes:
-        """Byte digest of all parameters, for replica-equality checks."""
-        import hashlib
-
+        """Byte digest of every stored tensor, for replica-equality checks."""
         h = hashlib.sha256()
-        for name in sorted(self.named_parameters()):
-            p = self.named_parameters()[name]
+        for name, data in self.tensors():
             h.update(name.encode())
-            h.update(p.data.tobytes())
-        for name, mat in self._quantized_mats():
-            h.update(name.encode())
-            h.update(mat.q.codes.tobytes())
+            parts = (data.codes, data.scale, data.offset) if isinstance(data, QuantizedMatrix) else (data,)
+            for a in parts:
+                h.update(a.tobytes())
         return h.digest()
-
-    def _quantized_mats(self):
-        found = []
-        mats = {"embed": self.embed, "head": self.head}
-        for layer in self.layers:
-            for k, m in layer.matrices().items():
-                mats[f"layers.{layer.index}.{k}"] = m
-        for name, m in mats.items():
-            if isinstance(m, QuantizedLinear):
-                found.append((name, m))
-            elif isinstance(m, LoraLinear) and isinstance(m.base, QuantizedLinear):
-                found.append((name + ".base", m.base))
-        return found
 
 
 def _child_seed(seed: int, index: int) -> int:
@@ -774,70 +722,70 @@ def _fan_shapes(config: ModelConfig, name: str) -> tuple[int, int]:
     }[name]
 
 
-def _build_matrix(name: str, full_name: str, spec: LayerSpec, config: ModelConfig, seed_stream, dtype):
-    fan_out, fan_in = _fan_shapes(config, name)
-    dense = lambda: linalg.seeded_random(fan_out, fan_in, next(seed_stream), "gaussian", std=INIT_STD, dtype=dtype)
-    if spec.kind == "dense":
-        return DenseLinear(full_name, dense())
-    if spec.kind == "lowrank":
-        if spec.r >= min(fan_in, fan_out):
-            raise ModelError(f"{full_name}: rank {spec.r} must be < min(fan_in, fan_out)")
-        down = linalg.seeded_random(spec.r, fan_in, next(seed_stream), "gaussian", std=INIT_STD, dtype=dtype)
-        up = linalg.seeded_random(fan_out, spec.r, next(seed_stream), "gaussian", std=INIT_STD, dtype=dtype)
-        return LowRankLinear(full_name, down, up)
-    if spec.kind == "lora":
-        if spec.r >= min(fan_in, fan_out):
-            raise ModelError(f"{full_name}: rank {spec.r} must be < min(fan_in, fan_out)")
-        base = DenseLinear(full_name + ".base", dense(), trainable=False)
+def full_specs(specs: dict) -> dict:
+    """A spec for every matrix name, dense where none is given."""
+    _check_targets(specs)
+    return {name: specs.get(name, LayerSpec()) for name in MATRIX_NAMES}
+
+
+def _build_linear(path: str, spec: LayerSpec, shape: tuple, draw, stored_bits) -> Linear:
+    (fan_out, fan_in), kind, r = shape, spec.kind, spec.r
+    if kind in ("lowrank", "lora", "blend") and r >= min(shape):
+        raise ModelError(f"{path}: rank {r} must be < min(fan_in, fan_out)")
+    if kind == "dense":
+        return DenseLinear(path, draw(path + ".weight", shape))
+    if kind == "quantized":
+        return QuantizedLinear(path, draw(path, shape, bits=spec.bits))
+    if kind == "lora":
+        # The spec does not say whether the base is quantized: a fresh model
+        # gets a dense one, a checkpoint keeps the one it stored.
+        bits = stored_bits(path + ".base")
+        base = (QuantizedLinear(path + ".base", draw(path + ".base", shape, bits=bits)) if bits
+                else DenseLinear(path + ".base", draw(path + ".base.weight", shape), trainable=False))
         # Zero-initialized up factor so the adapter starts as the identity delta.
-        down = linalg.seeded_random(spec.r, fan_in, next(seed_stream), "gaussian", std=INIT_STD, dtype=dtype)
-        up = np.zeros((fan_out, spec.r), dtype=dtype)
-        return LoraLinear(full_name, base, down, up)
-    if spec.kind == "quantized":
-        return QuantizedLinear(full_name, quantize_rows(dense(), spec.bits))
-    if spec.kind == "blend":
-        down = linalg.seeded_random(spec.r, fan_in, next(seed_stream), "gaussian", std=INIT_STD, dtype=dtype)
-        up = linalg.seeded_random(fan_out, spec.r, next(seed_stream), "gaussian", std=INIT_STD, dtype=dtype)
-        return BlendLinear(full_name, dense(), down, up, spec.start_alpha, spec.end_step)
-    raise ModelError(f"unsupported kind {spec.kind}")
+        return LoraLinear(path, base, draw(path + ".down", (r, fan_in)), draw(path + ".up", (fan_out, r), "zeros"))
+    down, up = draw(path + ".down", (r, fan_in)), draw(path + ".up", (fan_out, r))
+    if kind == "lowrank":
+        return LowRankLinear(path, down, up)
+    return BlendLinear(path, draw(path + ".base", shape), down, up, spec.start_alpha, spec.end_step)
 
 
-def build_model(config: ModelConfig, specs: dict | None = None, seed: int = 0, dtype=np.float32) -> DecoderModel:
-    """Construct a model; specs maps matrix names to LayerSpec (default dense)."""
-    specs = dict(specs or {})
-    for name in specs:
-        if name not in MATRIX_NAMES:
-            raise ModelError(f"unknown matrix name {name!r}; expected one of {MATRIX_NAMES}")
-    full_specs = {name: specs.get(name, LayerSpec()) for name in MATRIX_NAMES}
-
-    counter = iter(range(1, 1 << 30))
-    seed_stream = (  # one child seed per tensor, in construction order
-        _child_seed(seed, i) for i in counter
-    )
-
-    emb_spec = full_specs["we"]
+def assemble_model(config: ModelConfig, specs: dict, draw, dtype, stored_bits=lambda name: None) -> DecoderModel:
+    """The model skeleton for complete specs, with every tensor supplied by
+    draw(name, shape, init="normal", bits=None) in construction order."""
+    emb = specs["we"]
     t, n = config.vocab, config.dim
-    if emb_spec.kind == "dense":
-        embed = DenseEmbedding("embed", linalg.seeded_random(t, n, next(seed_stream), "gaussian", std=INIT_STD, dtype=dtype))
-    elif emb_spec.kind == "lowrank":
-        down = linalg.seeded_random(emb_spec.r, t, next(seed_stream), "gaussian", std=INIT_STD, dtype=dtype)
-        up = linalg.seeded_random(n, emb_spec.r, next(seed_stream), "gaussian", std=INIT_STD, dtype=dtype)
-        embed = LowRankEmbedding("embed", down, up)
+    if emb.kind == "dense":
+        embed = DenseEmbedding("embed", draw("embed.weight", (t, n)))
+    elif emb.kind == "lowrank":
+        embed = LowRankEmbedding("embed", draw("embed.down", (emb.r, t)), draw("embed.up", (n, emb.r)))
     else:
-        raise ModelError(f"embedding supports dense or lowrank, not {emb_spec.kind!r}")
+        raise ModelError(f"embedding supports dense or lowrank, not {emb.kind!r}")
 
     layers = []
     for i in range(config.layers):
         mats = {
-            name: _build_matrix(name, f"layers.{i}.{name}", full_specs[name], config, seed_stream, dtype)
-            for name in ("wq", "wk", "wv", "wo", "wu", "wg", "wd")
+            k: _build_linear(f"layers.{i}.{k}", specs[k], _fan_shapes(config, k), draw, stored_bits)
+            for k in LAYER_MATRICES
         }
-        norm1 = Param(f"layers.{i}.norm1.gain", np.ones(config.dim, dtype=dtype))
-        norm2 = Param(f"layers.{i}.norm2.gain", np.ones(config.dim, dtype=dtype))
-        layers.append(DecoderLayer(i, norm1, norm2, mats))
+        norms = [Param(name, draw(name, (n,), "ones")) for name in (f"layers.{i}.norm1.gain", f"layers.{i}.norm2.gain")]
+        layers.append(DecoderLayer(i, *norms, mats))
 
-    head = _build_matrix("wh", "head", full_specs["wh"], config, seed_stream, dtype)
-    return DecoderModel(config, full_specs, embed, layers, head, dtype)
+    head = _build_linear("head", specs["wh"], _fan_shapes(config, "wh"), draw, stored_bits)
+    return DecoderModel(config, specs, embed, layers, head, dtype)
+
+
+def build_model(config: ModelConfig, specs: dict | None = None, seed: int = 0, dtype=np.float32) -> DecoderModel:
+    """Construct a model; specs maps matrix names to LayerSpec (default dense)."""
+    seeds = (_child_seed(seed, i) for i in itertools.count(1))  # one per random tensor, in order
+
+    def draw(name, shape, init="normal", bits=None):
+        if init != "normal":
+            return (np.zeros if init == "zeros" else np.ones)(shape, dtype=dtype)
+        w = linalg.seeded_random(*shape, next(seeds), "gaussian", std=INIT_STD, dtype=dtype)
+        return quantize_rows(w, bits) if bits else w
+
+    return assemble_model(config, full_specs(specs or {}), draw, dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -1114,26 +1062,12 @@ def greedy_decode(model: DecoderModel, prompt, max_new: int, use_cache: bool = T
 def quantize_model(model: DecoderModel, bits: int, targets=None) -> DecoderModel:
     """Replace targeted dense matrices with per-row quantized backends."""
     targets = tuple(targets or ("wq", "wk", "wv", "wo", "wu", "wg", "wd", "wh"))
-    for name in targets:
-        if name == "we":
-            raise ModelError("quantized embedding lookup is not supported")
-        if name not in MATRIX_NAMES:
-            raise ModelError(f"unknown matrix name {name!r}")
-    specs = dict(model.specs)
+    if "we" in targets:
+        raise ModelError("quantized embedding lookup is not supported")
 
-    def convert(name, mat):
-        if not isinstance(mat, DenseLinear):
+    def convert(mat):
+        if mat.kind != "dense":
             raise ModelError(f"{mat.name}: only dense matrices can be quantized, found {mat.kind}")
         return QuantizedLinear(mat.name, quantize_rows(mat.weight.data, bits))
 
-    head = convert("wh", model.head) if "wh" in targets else model.head
-    layers = []
-    for layer in model.layers:
-        mats = {
-            k: (convert(k, m) if k in targets else m)
-            for k, m in layer.matrices().items()
-        }
-        layers.append(DecoderLayer(layer.index, layer.norm1, layer.norm2, mats))
-    for name in targets:
-        specs[name] = LayerSpec(kind="quantized", bits=bits)
-    return DecoderModel(model.config, specs, model.embed, layers, head, model.dtype)
+    return model.map_matrices(convert, targets)

@@ -162,3 +162,104 @@ def test_decomposed_checkpoint_smaller_by_closed_form(tmp_path):
     ratio_params = low.param_count() / dense.param_count()
     ratio_bytes = p_low.stat().st_size / p_dense.stat().st_size
     assert abs(ratio_bytes - ratio_params) < 0.12  # header + alignment overhead
+
+
+def _split(raw: bytes):
+    header_len = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16 : 16 + header_len])
+    payload = raw[16 + header_len + (-(16 + header_len)) % ALIGN :]
+    return header, payload
+
+
+def _join(header: dict, payload: bytes) -> bytes:
+    body = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    out = bytearray(MAGIC + (1).to_bytes(4, "little") + len(body).to_bytes(8, "little") + body)
+    out += b"\x00" * ((-len(out)) % ALIGN)
+    return bytes(out) + payload
+
+
+def _edit_header(edit):
+    def corrupt(raw):
+        header, payload = _split(raw)
+        edit(header)
+        return _join(header, payload)
+    return corrupt
+
+
+def _extra_tensor(raw):
+    header, payload = _split(raw)
+    payload += b"\x00" * ((-len(payload)) % ALIGN)
+    header["tensors"]["zz.extra"] = {"dtype": "f32", "shape": [2], "offset": len(payload), "length": 8}
+    return _join(header, payload + b"\x00" * 8)
+
+
+_CORRUPTIONS = {
+    "unknown-config-key": (_edit_header(lambda h: h["model_config"].update(depth=3)), "model config"),
+    "missing-config-key": (_edit_header(lambda h: h["model_config"].pop("heads")), "model config"),
+    "unknown-spec-key": (_edit_header(lambda h: h["layer_specs"]["wq"].update(bogus=1)), "layer spec"),
+    "unknown-dtype": (_edit_header(lambda h: h["tensors"]["head.weight"].update(dtype="f16")), "dtype"),
+    "shape-vs-config": (_edit_header(lambda h: h["model_config"].update(vocab=10**9)), "shape"),
+    "length-vs-shape": (_edit_header(lambda h: h["tensors"]["head.weight"].update(length=64)), "length"),
+    "missing-tensors": (_edit_header(lambda h: h.pop("tensors")), "tensors"),
+    "missing-offset": (_edit_header(lambda h: h["tensors"]["head.weight"].pop("offset")), "offset"),
+    "missing-length": (_edit_header(lambda h: h["tensors"]["embed.weight"].pop("length")), "length"),
+    "missing-tensor": (_edit_header(lambda h: h["tensors"].pop("layers.1.norm2.gain")), "missing tensor"),
+    "extra-tensor": (_extra_tensor, "does not use"),
+    "truncated-header": (lambda raw: raw[:40], "header runs past"),
+    "truncated-payload": (lambda raw: raw[: len(raw) - 100], "past end"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CORRUPTIONS))
+def test_corrupt_checkpoint_rejected(tmp_path, capsys, name):
+    from lrlm import cli
+
+    corrupt, message = _CORRUPTIONS[name]
+    good = tmp_path / "good.lrlm"
+    save_checkpoint(good, tfm.build_model(TOY, seed=12))
+    bad = tmp_path / "bad.lrlm"
+    bad.write_bytes(corrupt(good.read_bytes()))
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(bad)
+    rc = cli.main(["--out", str(tmp_path / "o"), "infer", "--checkpoint", str(bad), "--prompt", "hi"])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_every_kind_loads_from_its_table(tmp_path):
+    base = tfm.build_model(TOY, seed=13)
+    models = {
+        "lowrank": lowrank.decompose_model(base, 3),
+        "q4": tfm.quantize_model(base, 4, targets=("wq", "wh")),
+        "lora-q8": lowrank.attach_adapters(tfm.quantize_model(base, 8), r=2, targets=("wq", "wv"), seed=3),
+        "blend": lowrank.blend_model(base, r=2, start_alpha=0.6, end_step=5, seed=4),
+    }
+    tokens = np.arange(7) % 13
+    for name, model in models.items():
+        path = tmp_path / f"{name}.lrlm"
+        save_checkpoint(path, model)
+        loaded = load_checkpoint(path)
+        assert loaded.specs == model.specs, name
+        assert loaded.state_signature() == model.state_signature(), name
+        a, _ = tfm.model_forward(model, tokens, step=2)
+        b, _ = tfm.model_forward(loaded, tokens, step=2)
+        assert np.array_equal(a, b), name
+
+
+def test_loaded_tensors_free_the_file_buffer_with_the_model(tmp_path):
+    import gc
+    import weakref
+
+    path = tmp_path / "q.lrlm"
+    save_checkpoint(path, tfm.quantize_model(tfm.build_model(TOY, seed=14), 8, targets=("wq",)))
+    gc.disable()
+    try:
+        model = load_checkpoint(path)
+        buf = model.head.weight.data
+        while buf.base is not None:
+            buf = buf.base
+        ref = weakref.ref(buf)
+        del model, buf
+        assert ref() is None  # freed by reference counting, no cycle left behind
+    finally:
+        gc.enable()

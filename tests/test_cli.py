@@ -231,3 +231,15 @@ class TestConfigHandling:
         assert rc == 0
         rc = cli.main(["--out", str(tmp_path / "o2"), "plan", "flops", "--preset", "toy"])
         assert rc == 0
+
+
+@pytest.mark.parametrize("section", [
+    {"model": {"preset": "toy"}, "layers": {"wq": {"kind": "lowrank", "r": 4, "bogus": 1}}},
+    {"model": {"vocab": 10}},
+], ids=["unknown-layer-key", "missing-model-keys"])
+def test_malformed_model_dict_is_config_error(tmp_path, capsys, section):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(section))
+    rc = cli.main(["--out", str(tmp_path / "o"), "pretrain", "--config", str(cfg)])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err

@@ -211,7 +211,7 @@ class TestBlend:
     def test_alpha_one_is_pure_base(self):
         b = self._blend_layer(start_alpha=1.0)
         x = linalg.seeded_random(3, 6, seed=21)
-        want = linalg.matmul(x, b.base.data.T)
+        want = linalg.matmul(x, b.weight.data.T)
         np.testing.assert_allclose(lowrank.blend_forward(b, x, 0), want, rtol=1e-6)
 
     def test_alpha_zero_is_pure_lowrank(self):
@@ -224,7 +224,7 @@ class TestBlend:
     def test_alpha_half_two_path_oracle(self):
         b = self._blend_layer(start_alpha=1.0, end_step=10)
         x = linalg.seeded_random(3, 6, seed=23)
-        base = linalg.matmul(x, b.base.data.T)
+        base = linalg.matmul(x, b.weight.data.T)
         low = linalg.matmul(linalg.matmul(x, b.down.data.T), b.up.data.T)
         np.testing.assert_allclose(
             lowrank.blend_forward(b, x, 5), 0.5 * base + 0.5 * low, rtol=1e-5, atol=1e-7

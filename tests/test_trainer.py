@@ -80,11 +80,11 @@ class TestTrainStep:
         assert alphas[5] == 0.0 and alphas[7] == 0.0
         state = AdamWState(model.trainable_parameters())
         cfg = TrainConfig(method="method3", batch=2, seq=16, lr=1e-2)
-        base_bytes = layer.base.data.tobytes()
+        base_bytes = layer.weight.data.tobytes()
         batches = trainer.sample_batches(make_corpus(), 2, 16, seed=1)
         for _ in range(7):
             trainer.train_step(model, next(batches), cfg, state)
-        assert layer.base.data.tobytes() == base_bytes
+        assert layer.weight.data.tobytes() == base_bytes
 
     def test_method_layer_mismatch(self):
         model = tfm.build_model(TOY, seed=3)
@@ -230,3 +230,44 @@ class TestSampleBatches:
     def test_corpus_too_short(self):
         with pytest.raises(TrainError, match="too short"):
             trainer.sample_batches(np.arange(5), 1, 8, seed=0)
+
+
+class TestFrozenBases:
+    """A full-rank base that shares its matrix with a factored term never trains."""
+
+    @staticmethod
+    def _base_bytes(model):
+        out = {}
+        for path, mat in model.named_matrices():
+            if mat.paired:
+                w = mat.weight.data
+                parts = (w.codes, w.scale, w.offset) if hasattr(w, "codes") else (w,)
+                out[path] = b"".join(a.tobytes() for a in parts)
+        return out
+
+    @pytest.mark.parametrize("build, methods", [
+        (lambda: lowrank.attach_adapters(tfm.build_model(TOY, seed=1), r=2, targets=("wq", "wv", "wh"), seed=1),
+         ("dense", "lora_finetune")),
+        (lambda: lowrank.attach_adapters(tfm.quantize_model(tfm.build_model(TOY, seed=2), 8), r=2,
+                                         targets=("wq", "wv"), seed=2),
+         ("dense", "lora_finetune")),
+        (lambda: lowrank.blend_model(tfm.build_model(TOY, seed=3), r=2, start_alpha=0.8, end_step=4,
+                                     targets=("wq", "wu", "wh"), seed=3),
+         ("dense", "method3")),
+    ], ids=["lora-dense-base", "lora-q8-base", "blend"])
+    def test_bases_byte_unchanged_under_every_method(self, build, methods):
+        for method in methods:
+            model = build()
+            before = self._base_bytes(model)
+            assert before
+            trainer.configure_trainable(model, method)
+            trainable = model.trainable_parameters()
+            state = AdamWState(trainable)
+            factors = {p.name: p.data.copy() for _, m in model.named_matrices() if m.paired for p in (m.down, m.up)}
+            cfg = TrainConfig(method=method, batch=2, seq=16, lr=1e-2)
+            batches = trainer.sample_batches(make_corpus(), 2, 16, seed=0)
+            for _ in range(3):
+                trainer.train_step(model, next(batches), cfg, state)
+            assert self._base_bytes(model) == before, method
+            assert not any(mat.weight.name in trainable for _, mat in model.named_matrices() if mat.paired)
+            assert any(not np.array_equal(trainable[n].data, v) for n, v in factors.items()), method

@@ -339,3 +339,16 @@ class TestLayerSpecValidation:
     def test_heads_must_divide(self):
         with pytest.raises(tfm.ModelError):
             tfm.ModelConfig(vocab=5, dim=9, heads=2, layers=1, ffn_dim=4, max_seq=4)
+
+
+def test_state_signature_covers_quantized_scale_and_offset():
+    cfg = tfm.ModelConfig(vocab=11, dim=8, heads=2, layers=1, ffn_dim=12, max_seq=8)
+    model = tfm.quantize_model(tfm.build_model(cfg, seed=3), 8, targets=("wq",))
+    before = model.state_signature()
+    q = model.layers[0].wq.weight.data
+    for row in (q.scale, q.offset):
+        kept = row[1]
+        row[1] += 0.5
+        assert model.state_signature() != before
+        row[1] = kept
+        assert model.state_signature() == before
