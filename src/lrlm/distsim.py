@@ -289,8 +289,9 @@ def federated_round(nodes, mode: str, state: AdamWState, config: TrainConfig) ->
         if m.state_signature() != signature:
             raise ModelError(f"replica divergence detected at round start (node {i})")
 
+    center_params = center.named_parameters()
     shared = _trainable_names(center, mode)
-    payload_bytes = sum(center.named_parameters()[n].data.nbytes for n in shared)
+    payload_bytes = sum(center_params[n].data.nbytes for n in shared)
 
     grads_per_node = []
     losses = []
@@ -307,7 +308,7 @@ def federated_round(nodes, mode: str, state: AdamWState, config: TrainConfig) ->
             acc += g[name]
         averaged[name] = (acc / len(nodes)).astype(grads_per_node[0][name].dtype)
 
-    trainable = {n: center.named_parameters()[n] for n in shared}
+    trainable = {n: center_params[n] for n in shared}
     adamw_step(state, trainable, averaged, config)
 
     for model in models[1:]:

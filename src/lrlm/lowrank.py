@@ -35,10 +35,8 @@ __all__ = [
     "decompose_linear",
     "decompose_model",
     "attach_adapters",
-    "lora_forward",
     "lora_merge",
     "merge_model",
-    "blend_forward",
     "blend_model",
     "collapse_blend",
 ]
@@ -175,42 +173,37 @@ def attach_adapters(model: DecoderModel, r: int, targets=("wq", "wv"), seed: int
     return model.map_matrices(wrap, targets)
 
 
-def lora_forward(adapter: Linear, x: np.ndarray) -> np.ndarray:
-    """base(x) + up @ (down @ x); quantized bases stay in code form."""
-    x = np.asarray(x)
-    if x.shape[-1] != adapter.fan_in:
-        raise ModelError(f"lora_forward dimension mismatch: fan_in {adapter.fan_in}, x {x.shape}")
-    return adapter.forward(x)
-
-
-def lora_merge(adapter: Linear) -> np.ndarray:
-    """Fold the delta into the base: W + up @ down. Full-precision bases only."""
-    if adapter.merged:
-        raise ModelError(f"{adapter.name}: adapter already merged")
+def _folded(adapter: Linear) -> np.ndarray:
+    """W + up @ down, a new array; the adapter is left as it is."""
     if isinstance(adapter.weight.data, QuantizedMatrix):
         raise ModelError(
             f"{adapter.name}: cannot merge onto a quantized base; dequantize it explicitly first"
         )
-    delta = linalg.matmul(adapter.up.data, adapter.down.data)
-    merged = adapter.weight.data + delta
+    return adapter.weight.data + linalg.matmul(adapter.up.data, adapter.down.data)
+
+
+def lora_merge(adapter: Linear) -> np.ndarray:
+    """Fold the delta into the base: W + up @ down. Full-precision bases only.
+
+    The adapter itself switches to the folded weight, inference only.
+    """
+    if adapter.merged:
+        raise ModelError(f"{adapter.name}: adapter already merged")
+    merged = _folded(adapter)
     adapter.merged = True
     adapter._merged_weight = merged
     return merged
 
 
 def merge_model(model: DecoderModel) -> DecoderModel:
-    """Merge every LoRA adapter in the model into plain dense matrices."""
-    return model.map_matrices(lambda m: DenseLinear(m.name, lora_merge(m)) if m.kind == "lora" else m)
+    """A model with every LoRA adapter folded into a plain dense matrix; the
+    input model and its adapters are not changed."""
+    return model.map_matrices(lambda m: DenseLinear(m.name, _folded(m)) if m.kind == "lora" else m)
 
 
 # ---------------------------------------------------------------------------
 # Alpha-blend transition layers
 # ---------------------------------------------------------------------------
-
-
-def blend_forward(layer: Linear, x: np.ndarray, step: int) -> np.ndarray:
-    """alpha(step) * base(x) + (1 - alpha(step)) * low-rank path."""
-    return layer.forward(np.asarray(x), step)
 
 
 def collapse_blend(model: DecoderModel, step: int) -> DecoderModel:

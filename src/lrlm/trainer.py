@@ -264,8 +264,9 @@ def grad_check(model: DecoderModel, batch, tol: float = 1e-3, step: int = 0,
     inputs, targets = batch
     m64 = model.astype(np.float64)
     # Mirror the caller's freeze pattern.
+    params64 = m64.named_parameters()
     for name, p in model.named_parameters().items():
-        m64.named_parameters()[name].trainable = p.trainable
+        params64[name].trainable = p.trainable
 
     logits, tape = model_forward(m64, inputs, step=step)
     grads = model_backward(m64, tape, cross_entropy_grad(logits, targets), step=step)

@@ -42,9 +42,6 @@ __all__ = [
     "MATRIX_NAMES",
     "softmax",
     "rmsnorm",
-    "rope_apply",
-    "attention",
-    "ffn_forward",
     "cross_entropy_loss",
     "cross_entropy_grad",
     "build_model",
@@ -312,12 +309,13 @@ class Linear(_Terms):
             raise ModelError(f"{self.name}: merged adapter is inference-only")
         a, b = self._coefficients(step)
         dx = None
-        if self.down is not None:
+        if self.down is not None:  # a frozen factor costs no weight-gradient GEMM
             dy_low = dy if b == 1.0 else b * dy
-            hidden = _mm(x, self.down.data.T)
-            _accumulate(grads, self.up, _mm(_flat2(dy_low).T, _flat2(hidden)))
+            if self.up.trainable:
+                _accumulate(grads, self.up, _mm(_flat2(dy_low).T, _flat2(_mm(x, self.down.data.T))))
             dh = _mm(dy_low, self.up.data)
-            _accumulate(grads, self.down, _mm(_flat2(dh).T, _flat2(x)))
+            if self.down.trainable:
+                _accumulate(grads, self.down, _mm(_flat2(dh).T, _flat2(x)))
             dx = _mm(dh, self.down.data)
         if self.weight is not None and a != 0.0:
             w = self.weight.data
@@ -383,12 +381,12 @@ class Embedding(_Terms):
                 np.add.at(g, tokens.ravel(), _flat2(dx))
                 _accumulate(grads, self.weight, g)
             return
-        rows = self.down.data.T[tokens]
-        _accumulate(grads, self.up, _mm(_flat2(dx).T, _flat2(rows)))
-        drows = _mm(dx, self.up.data)
-        gdown = np.zeros_like(self.down.data.T)
-        np.add.at(gdown, tokens.ravel(), _flat2(drows))
-        _accumulate(grads, self.down, gdown.T)
+        if self.up.trainable:
+            _accumulate(grads, self.up, _mm(_flat2(dx).T, _flat2(self.down.data.T[tokens])))
+        if self.down.trainable:
+            gdown = np.zeros_like(self.down.data.T)
+            np.add.at(gdown, tokens.ravel(), _flat2(_mm(dx, self.up.data)))
+            _accumulate(grads, self.down, gdown.T)
 
 
 def DenseEmbedding(name: str, weight: np.ndarray, trainable: bool = True) -> Embedding:
@@ -445,10 +443,11 @@ def _rmsnorm_backward(x, gain_param: Param, dy, grads, eps: float = RMSNORM_EPS)
     return dx
 
 
-def _rope_tables(length: int, head_dim: int, base: float, dtype) -> tuple[np.ndarray, np.ndarray]:
+def _rope_tables(length: int, head_dim: int, base: float, dtype, offset: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """cos/sin rows for positions offset..offset + length, (length, head_dim / 2) each."""
     half = head_dim // 2
     freqs = base ** (-2.0 * np.arange(half, dtype=np.float64) / head_dim)
-    angles = np.arange(length, dtype=np.float64)[:, None] * freqs[None, :]
+    angles = np.arange(offset, offset + length, dtype=np.float64)[:, None] * freqs[None, :]
     return np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
 
 
@@ -466,53 +465,6 @@ def _rope_rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray, heads: int, si
     out[..., 0] = even * c - odd * s
     out[..., 1] = even * s + odd * c
     return out.reshape(shape)
-
-
-def rope_apply(v: np.ndarray, position: int, base: float = 10000.0) -> np.ndarray:
-    """Rotary position encoding of a single head vector (even length).
-
-    Pair (v[2i], v[2i+1]) rotates by position * base**(-2i/d).
-    """
-    v = np.asarray(v)
-    d = v.shape[-1]
-    if d % 2:
-        raise ModelError(f"rope needs an even dimension, got {d}")
-    half = d // 2
-    even = v[..., 0::2]
-    odd = v[..., 1::2]
-    angles = position * (base ** (-2.0 * np.arange(half) / d))
-    c = np.cos(angles).astype(v.dtype)
-    s = np.sin(angles).astype(v.dtype)
-    out = np.empty_like(v)
-    out[..., 0::2] = even * c - odd * s
-    out[..., 1::2] = even * s + odd * c
-    return out
-
-
-def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Single-head attention on (head_dim, seq) grids.
-
-    Scores are q.T @ k / sqrt(d) plus the additive mask; each softmax row sums
-    to one over the allowed positions. Returns the (head_dim, seq) context.
-    """
-    q = np.asarray(q)
-    k = np.asarray(k)
-    v = np.asarray(v)
-    if q.shape != k.shape or q.shape[1] != v.shape[1]:
-        raise ModelError(f"attention shape mismatch: q{q.shape} k{k.shape} v{v.shape}")
-    d = q.shape[0]
-    scores = _mm(q.T, k) / np.asarray(math.sqrt(d), dtype=q.dtype)
-    if mask is not None:
-        scores = scores + mask
-    probs = softmax(scores, axis=-1)
-    return _mm(v, probs.T)
-
-
-def ffn_forward(x: np.ndarray, w_up: np.ndarray, w_gate: np.ndarray, w_down: np.ndarray) -> np.ndarray:
-    """Gated feed-forward: w_down @ (w_up x * SiLU(w_gate x))."""
-    up = _mm(np.asarray(x)[None, :], np.asarray(w_up).T)[0]
-    gate = _mm(np.asarray(x)[None, :], np.asarray(w_gate).T)[0]
-    return _mm((up * _silu(gate))[None, :], np.asarray(w_down).T)[0]
 
 
 def cross_entropy_loss(logits: np.ndarray, targets: np.ndarray) -> float:
@@ -537,18 +489,10 @@ def cross_entropy_grad(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return probs.reshape(logits.shape).astype(np.asarray(logits).dtype)
 
 
-_MASK_CACHE: dict = {}
-
-
-def causal_mask(length: int, dtype) -> np.ndarray:
-    """Shared additive mask: 0 on and below the diagonal, -inf above."""
-    key = (length, np.dtype(dtype).str)
-    m = _MASK_CACHE.get(key)
-    if m is None:
-        m = np.triu(np.full((length, length), -np.inf, dtype=dtype), k=1)
-        m.flags.writeable = False
-        _MASK_CACHE[key] = m
-    return m
+def causal_mask(length: int, dtype, offset: int = 0) -> np.ndarray:
+    """Additive (length, offset + length) mask for queries at positions
+    offset.. over keys 0..offset + length: 0 up to the query, -inf after it."""
+    return np.triu(np.full((length, offset + length), -np.inf, dtype=dtype), k=offset + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -803,17 +747,32 @@ def _unheads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, l, h * d)
 
 
-def _layer_forward(layer: DecoderLayer, x, cos, sin, mask, heads: int, step: int):
-    d = x.shape[-1] // heads
-    scale = np.asarray(1.0 / math.sqrt(d), dtype=x.dtype)
+def _scores(q, k, heads: int, mask):
+    """Masked attention scores q k^T / sqrt(head_dim) + mask, per head."""
+    scale = np.asarray(1.0 / math.sqrt(q.shape[-1] // heads), dtype=q.dtype)
+    return _mm(_heads(q, heads), _heads(k, heads).transpose(0, 1, 3, 2)) * scale + mask
+
+
+def _layer_forward(layer: DecoderLayer, x, cos, sin, mask, heads: int, step: int, cache_slot=None):
+    """One decoder layer over x (batch, L, dim) at the positions of cos/sin/mask.
+
+    With cache_slot = (keys, values, pos) for one sequence, the chunk's rotated
+    keys and values are written at rows pos..pos+L of the (max_seq, dim) grids
+    and the chunk attends over rows 0..pos+L.
+    """
     norm1 = rmsnorm(x, layer.norm1.data)
     q = _rope_rotate(layer.wq.forward(norm1, step), cos, sin, heads, 1.0)
     k = _rope_rotate(layer.wk.forward(norm1, step), cos, sin, heads, 1.0)
     v = layer.wv.forward(norm1, step)
-    qh, kh, vh = _heads(q, heads), _heads(k, heads), _heads(v, heads)
-    qkT = _mm(qh, kh.transpose(0, 1, 3, 2)) * scale + mask
+    keys, values = k, v
+    if cache_slot is not None:
+        cache_k, cache_v, pos = cache_slot
+        end = pos + x.shape[1]
+        cache_k[pos:end], cache_v[pos:end] = k[0], v[0]
+        keys, values = cache_k[None, :end], cache_v[None, :end]
+    qkT = _scores(q, keys, heads, mask)
     s = softmax(qkT, axis=-1)
-    context = _unheads(_mm(s, vh))
+    context = _unheads(_mm(s, _heads(values, heads)))
     attn = layer.wo.forward(context, step)
     res1 = x + attn
     norm2 = rmsnorm(res1, layer.norm2.data)
@@ -845,11 +804,7 @@ def _rebuild_entry(layer: DecoderLayer, stored: dict, tape: DecoderTape, heads: 
         return full
     full = dict(stored)
     if "qkT" in policy.drop:
-        d = full["q"].shape[-1] // heads
-        scale = np.asarray(1.0 / math.sqrt(d), dtype=full["q"].dtype)
-        qh = _heads(full["q"], heads)
-        kh = _heads(full["k"], heads)
-        full["qkT"] = _mm(qh, kh.transpose(0, 1, 3, 2)) * scale + tape.mask
+        full["qkT"] = _scores(full["q"], full["k"], heads, tape.mask)
     if "s" in policy.drop:
         full["s"] = softmax(full["qkT"], axis=-1)
     return full
@@ -894,35 +849,49 @@ def _layer_backward(layer: DecoderLayer, e: dict, dout, grads: dict, heads: int,
     return dx
 
 
-def model_forward(model: DecoderModel, tokens, policy: RecomputePolicy = STORE_ALL, step: int = 0):
+def model_forward(model: DecoderModel, tokens, policy: RecomputePolicy = STORE_ALL, step: int = 0,
+                  cache: KvCache | None = None):
     """Full forward pass: embed -> N decoder layers -> output head.
 
     Returns (logits, tape); logits has a vocab-sized last axis per position,
-    and the tape retains exactly the policy's keep-set per layer.
+    and the tape retains exactly the policy's keep-set per layer. Given a
+    KvCache, the tokens (one sequence) continue it: they take the positions
+    from cache.length on, attend over the cached prefix and are appended to
+    it; the tape then keeps nothing, so it cannot be differentiated.
     """
     tokens = np.asarray(tokens)
     squeeze = tokens.ndim == 1
     if squeeze:
         tokens = tokens[None, :]
-    if tokens.ndim != 2:
-        raise ModelError(f"tokens must be 1-D or 2-D, got shape {tokens.shape}")
-    if tokens.shape[1] > model.config.max_seq:
-        raise ModelError(f"sequence length {tokens.shape[1]} exceeds max_seq {model.config.max_seq}")
-    if tokens.min() < 0 or tokens.max() >= model.config.vocab:
-        raise ModelError(f"token id out of range [0, {model.config.vocab})")
-
+    if tokens.ndim != 2 or tokens.size == 0 or tokens.dtype.kind not in "iu":
+        raise ModelError(f"tokens must be a non-empty 1-D or 2-D integer array, got {tokens.dtype} {tokens.shape}")
+    if cache is not None and tokens.shape[0] != 1:
+        raise ModelError(f"a kv cache holds one sequence, got a batch of {tokens.shape[0]}")
+    cfg = model.config
+    offset = 0 if cache is None else cache.length
     length = tokens.shape[1]
+    if offset + length > cfg.max_seq:
+        overflow = "" if cache is None else "kv cache overflow: "
+        raise ModelError(f"{overflow}sequence length {offset + length} exceeds max_seq {cfg.max_seq}")
+    if tokens.min() < 0 or tokens.max() >= cfg.vocab:
+        raise ModelError(f"token id out of range [0, {cfg.vocab})")
+
     dtype = model.dtype
-    cos, sin = _rope_tables(length, model.config.head_dim, model.config.rope_base, dtype)
-    mask = causal_mask(length, dtype)
+    cos, sin = _rope_tables(length, cfg.head_dim, cfg.rope_base, dtype, offset)
+    mask = causal_mask(length, dtype, offset)
 
     x = model.embed.forward(tokens)
     tape = DecoderTape(policy=policy, tokens=tokens, cos=cos, sin=sin, mask=mask)
     for layer in model.layers:
-        x, entry = _layer_forward(layer, x, cos, sin, mask, model.config.heads, step)
-        tape.entries.append(_filter_entry(entry, policy))
-    tape.x_final = x
-    tape.peak_bytes = tape.stored_bytes()
+        slot = None if cache is None else (cache.k[layer.index], cache.v[layer.index], offset)
+        x, entry = _layer_forward(layer, x, cos, sin, mask, cfg.heads, step, slot)
+        if cache is None:
+            tape.entries.append(_filter_entry(entry, policy))
+    if cache is None:
+        tape.x_final = x
+        tape.peak_bytes = tape.stored_bytes()
+    else:
+        cache.length += length
     logits = model.head.forward(x, step)
     if squeeze:
         logits = logits[0]
@@ -961,7 +930,7 @@ def model_backward(model: DecoderModel, tape: DecoderTape, dlogits, step: int = 
 
 
 class KvCache:
-    """Per-layer key/value grids, one column appended per decode step."""
+    """Per-layer key/value grids of one sequence; model_forward appends to them."""
 
     def __init__(self, model: DecoderModel):
         cfg = model.config
@@ -975,87 +944,35 @@ class KvCache:
         return self.length
 
 
-def _rope_vec(x: np.ndarray, heads: int, position: int, base: float):
-    d = x.shape[-1] // heads
-    half = d // 2
-    freqs = base ** (-2.0 * np.arange(half, dtype=np.float64) / d)
-    c = np.cos(position * freqs).astype(x.dtype)
-    s = np.sin(position * freqs).astype(x.dtype)
-    xh = x.reshape(heads, half, 2)
-    out = np.empty_like(xh)
-    out[..., 0] = xh[..., 0] * c - xh[..., 1] * s
-    out[..., 1] = xh[..., 0] * s + xh[..., 1] * c
-    return out.reshape(x.shape)
-
-
 def kv_decode_step(model: DecoderModel, cache: KvCache, token: int, step: int = 0):
     """One autoregressive step: exactly one token pass through the model.
 
     Returns (logits vector, cache); the cache grows by one position and the
-    logits equal the final column of a full forward over the whole prefix.
+    logits equal the final row of a full forward over the whole prefix.
     """
-    if cache.length >= cache.max_seq:
-        raise ModelError(f"kv cache overflow: length {cache.length} at max_seq {cache.max_seq}")
-    if not 0 <= token < model.config.vocab:
-        raise ModelError(f"token id {token} out of range")
-    cfg = model.config
-    heads, d = cfg.heads, cfg.head_dim
-    pos = cache.length
-    scale = 1.0 / math.sqrt(d)
-
-    x = model.embed.forward(np.array([token]))[0]
-    for li, layer in enumerate(model.layers):
-        norm1 = rmsnorm(x, layer.norm1.data)
-        q = _rope_vec(layer.wq.forward(norm1, step), heads, pos, cfg.rope_base)
-        k = _rope_vec(layer.wk.forward(norm1, step), heads, pos, cfg.rope_base)
-        v = layer.wv.forward(norm1, step)
-        cache.k[li][pos] = k
-        cache.v[li][pos] = v
-        keys = cache.k[li][: pos + 1].reshape(pos + 1, heads, d)
-        vals = cache.v[li][: pos + 1].reshape(pos + 1, heads, d)
-        qh = q.reshape(heads, d)
-        scores = np.einsum("hd,lhd->hl", qh.astype(np.float64), keys.astype(np.float64)) * scale
-        probs = softmax(scores, axis=-1)
-        context = np.einsum("hl,lhd->hd", probs, vals.astype(np.float64)).astype(x.dtype)
-        attn = layer.wo.forward(context.reshape(cfg.dim), step)
-        res1 = x + attn
-        norm2 = rmsnorm(res1, layer.norm2.data)
-        up = layer.wu.forward(norm2, step)
-        gate = layer.wg.forward(norm2, step)
-        x = res1 + layer.wd.forward(up * _silu(gate), step)
-    cache.length += 1
-    logits = model.head.forward(x, step)
-    return logits, cache
+    logits, _ = model_forward(model, [token], step=step, cache=cache)
+    return logits[-1], cache
 
 
 def greedy_decode(model: DecoderModel, prompt, max_new: int, use_cache: bool = True):
-    """Greedy continuation of the prompt; returns (generated ids, token passes)."""
+    """Greedy continuation of the prompt; returns (generated ids, token passes).
+
+    With the cache the prompt is prefilled in one pass and each new token
+    takes one more; passes count tokens, so that is len(prompt) + max_new - 1.
+    Without it every step reruns the whole sequence.
+    """
     prompt = list(int(t) for t in np.asarray(prompt).ravel())
     if not prompt:
         raise ModelError("prompt must hold at least one token")
+    cache = KvCache(model) if use_cache else None
     generated: list[int] = []
     passes = 0
-    if use_cache:
-        cache = KvCache(model)
-        logits = None
-        for tok in prompt:
-            logits, cache = kv_decode_step(model, cache, tok)
-            passes += 1
-        for _ in range(max_new):
-            nxt = int(np.argmax(logits))
-            generated.append(nxt)
-            if len(generated) == max_new:
-                break
-            logits, cache = kv_decode_step(model, cache, nxt)
-            passes += 1
-    else:
-        seq = list(prompt)
-        for _ in range(max_new):
-            logits, _ = model_forward(model, np.array(seq, dtype=np.int64))
-            passes += len(seq)
-            nxt = int(np.argmax(logits[-1]))
-            generated.append(nxt)
-            seq.append(nxt)
+    feed = prompt
+    for _ in range(max_new):
+        logits, _ = model_forward(model, np.array(feed, dtype=np.int64), cache=cache)
+        passes += len(feed)
+        generated.append(int(np.argmax(logits[-1])))
+        feed = generated[-1:] if use_cache else prompt + generated
     return generated, passes
 
 

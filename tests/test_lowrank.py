@@ -127,7 +127,7 @@ class TestLora:
             linalg.seeded_random(2, 6, seed=8), linalg.seeded_random(6, 2, seed=9),
         )
         x = linalg.seeded_random(5, 6, seed=10)
-        before = lowrank.lora_forward(adapter, x)
+        before = adapter.forward(x)
         merged = lowrank.lora_merge(adapter)
         after = adapter.forward(x)
         np.testing.assert_allclose(before, after, rtol=1e-5, atol=1e-6)
@@ -153,6 +153,23 @@ class TestLora:
         with pytest.raises(ModelError, match="already merged"):
             lowrank.lora_merge(adapter)
 
+    def test_merge_model_leaves_input_trainable(self, tmp_path):
+        from lrlm.checkpoint import save_checkpoint
+
+        model = lowrank.attach_adapters(tfm.build_model(TOY, seed=5), r=2, targets=("wq", "wv"), seed=1)
+        trainer.configure_trainable(model, "lora_finetune")
+        before, after = tmp_path / "before.lrlm", tmp_path / "after.lrlm"
+        save_checkpoint(before, model)
+        merged = lowrank.merge_model(model)
+        assert all(m.kind == "dense" for _, m in merged.named_matrices())
+        save_checkpoint(after, model)
+        assert after.read_bytes() == before.read_bytes()
+        rng = np.random.default_rng(8)
+        batch = (rng.integers(0, 11, size=(1, 5)), rng.integers(0, 11, size=(1, 5)))
+        cfg = trainer.TrainConfig(method="lora_finetune", batch=1, seq=5, lr=1e-2)
+        loss = trainer.train_step(model, batch, cfg, trainer.AdamWState(model.trainable_parameters()))
+        assert np.isfinite(loss)
+
     def test_merge_quantized_base_rejected(self):
         q = QuantizedLinear("w", quantize_rows(linalg.seeded_random(6, 6, seed=13), 8))
         adapter = LoraLinear("w", q, np.zeros((2, 6), np.float32), np.zeros((6, 2), np.float32))
@@ -168,7 +185,7 @@ class TestLora:
         want = q.forward(x) + adapter.up.data.astype(np.float64) @ (
             adapter.down.data.astype(np.float64) @ x.astype(np.float64)
         )
-        np.testing.assert_allclose(lowrank.lora_forward(adapter, x), want, rtol=1e-5)
+        np.testing.assert_allclose(adapter.forward(x), want, rtol=1e-5)
 
     def test_gradcheck_with_quantized_base(self):
         base = tfm.quantize_model(tfm.build_model(TOY, seed=7), 8, targets=("wq", "wv"))
@@ -212,14 +229,14 @@ class TestBlend:
         b = self._blend_layer(start_alpha=1.0)
         x = linalg.seeded_random(3, 6, seed=21)
         want = linalg.matmul(x, b.weight.data.T)
-        np.testing.assert_allclose(lowrank.blend_forward(b, x, 0), want, rtol=1e-6)
+        np.testing.assert_allclose(b.forward(x, 0), want, rtol=1e-6)
 
     def test_alpha_zero_is_pure_lowrank(self):
         b = self._blend_layer(start_alpha=1.0, end_step=5)
         x = linalg.seeded_random(3, 6, seed=22)
         want = linalg.matmul(linalg.matmul(x, b.down.data.T), b.up.data.T)
-        np.testing.assert_allclose(lowrank.blend_forward(b, x, 5), want, rtol=1e-6)
-        np.testing.assert_allclose(lowrank.blend_forward(b, x, 50), want, rtol=1e-6)
+        np.testing.assert_allclose(b.forward(x, 5), want, rtol=1e-6)
+        np.testing.assert_allclose(b.forward(x, 50), want, rtol=1e-6)
 
     def test_alpha_half_two_path_oracle(self):
         b = self._blend_layer(start_alpha=1.0, end_step=10)
@@ -227,7 +244,7 @@ class TestBlend:
         base = linalg.matmul(x, b.weight.data.T)
         low = linalg.matmul(linalg.matmul(x, b.down.data.T), b.up.data.T)
         np.testing.assert_allclose(
-            lowrank.blend_forward(b, x, 5), 0.5 * base + 0.5 * low, rtol=1e-5, atol=1e-7
+            b.forward(x, 5), 0.5 * base + 0.5 * low, rtol=1e-5, atol=1e-7
         )
 
     def test_alpha_non_increasing(self):

@@ -271,3 +271,15 @@ class TestFrozenBases:
             assert self._base_bytes(model) == before, method
             assert not any(mat.weight.name in trainable for _, mat in model.named_matrices() if mat.paired)
             assert any(not np.array_equal(trainable[n].data, v) for n, v in factors.items()), method
+
+    def test_frozen_factored_term_adds_no_grads(self):
+        rng = np.random.default_rng(9)
+        down, up = rng.standard_normal((2, 6)), rng.standard_normal((5, 2))
+        x, dy = rng.standard_normal((3, 4, 6)), rng.standard_normal((3, 4, 5))
+        live, frozen = {}, {}
+        dx = tfm.LowRankLinear("w", down, up).backward(x, dy, live)
+        np.testing.assert_array_equal(tfm.LowRankLinear("w", down, up, trainable=False).backward(x, dy, frozen), dx)
+        assert set(live) == {"w.down", "w.up"} and frozen == {}
+        tokens, dx_emb = rng.integers(0, 6, size=(3, 4)), rng.standard_normal((3, 4, 5))
+        tfm.LowRankEmbedding("e", down, up, trainable=False).backward(tokens, dx_emb, frozen)
+        assert frozen == {}

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from lrlm import lowrank
 from lrlm import transformer as tfm
 from lrlm.linalg import seeded_random
+
+import oracles
 
 TOY = tfm.ModelConfig(vocab=11, dim=8, heads=2, layers=2, ffn_dim=12, max_seq=16)
 
@@ -32,16 +35,16 @@ class TestRmsNorm:
 class TestRope:
     def test_position_zero_is_identity(self):
         v = seeded_random(1, 8, seed=3)[0]
-        np.testing.assert_array_equal(tfm.rope_apply(v, 0), v)
+        np.testing.assert_array_equal(oracles.rope_apply(v, 0), v)
 
     def test_norm_preserved(self):
         v = seeded_random(1, 16, seed=4).astype(np.float64)[0]
-        out = tfm.rope_apply(v, 11, base=10000.0)
+        out = oracles.rope_apply(v, 11, base=10000.0)
         assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(v), rel=1e-6)
 
     def test_hand_expanded_d4(self):
         v = np.array([1.0, 2.0, 3.0, 4.0])
-        got = tfm.rope_apply(v, 1, base=10000.0)
+        got = oracles.rope_apply(v, 1, base=10000.0)
         theta = [1.0, 10000.0 ** (-0.5)]
         want = np.array([
             v[0] * math.cos(theta[0]) - v[1] * math.sin(theta[0]),
@@ -53,7 +56,7 @@ class TestRope:
 
     def test_odd_dim_rejected(self):
         with pytest.raises(tfm.ModelError):
-            tfm.rope_apply(np.ones(5), 1)
+            oracles.rope_apply(np.ones(5), 1)
 
 
 class TestAttention:
@@ -61,11 +64,11 @@ class TestAttention:
         q = seeded_random(4, 1, seed=5).astype(np.float64)
         k = seeded_random(4, 1, seed=6).astype(np.float64)
         v = seeded_random(4, 1, seed=7).astype(np.float64)
-        np.testing.assert_allclose(tfm.attention(q, k, v), v, rtol=1e-6)
+        np.testing.assert_allclose(oracles.attention(q, k, v), v, rtol=1e-6)
 
     def test_zero_values_give_zero(self):
         q = seeded_random(4, 3, seed=8).astype(np.float64)
-        out = tfm.attention(q, q, np.zeros((4, 3)))
+        out = oracles.attention(q, q, np.zeros((4, 3)))
         assert not out.any()
 
     def test_matches_dense_oracle(self):
@@ -78,7 +81,7 @@ class TestAttention:
         probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
         probs /= probs.sum(axis=-1, keepdims=True)
         want = v @ probs.T
-        np.testing.assert_allclose(tfm.attention(q, k, v, mask), want, rtol=1e-5)
+        np.testing.assert_allclose(oracles.attention(q, k, v, mask), want, rtol=1e-5)
 
     def test_softmax_rows_sum_to_one(self):
         scores = seeded_random(5, 5, seed=12).astype(np.float64)
@@ -87,7 +90,7 @@ class TestAttention:
 
     def test_shape_mismatch(self):
         with pytest.raises(tfm.ModelError):
-            tfm.attention(np.ones((4, 3)), np.ones((4, 2)), np.ones((4, 3)))
+            oracles.attention(np.ones((4, 3)), np.ones((4, 2)), np.ones((4, 3)))
 
 
 class TestFfn:
@@ -95,13 +98,13 @@ class TestFfn:
         wu = seeded_random(12, 8, seed=13)
         wg = seeded_random(12, 8, seed=14)
         wd = seeded_random(8, 12, seed=15)
-        assert not tfm.ffn_forward(np.zeros(8, np.float32), wu, wg, wd).any()
+        assert not oracles.ffn_forward(np.zeros(8, np.float32), wu, wg, wd).any()
 
     def test_closed_gate(self):
         wu = seeded_random(12, 8, seed=16)
         wd = seeded_random(8, 12, seed=17)
         x = seeded_random(1, 8, seed=18)[0]
-        out = tfm.ffn_forward(x, wu, np.zeros((12, 8), np.float32), wd)
+        out = oracles.ffn_forward(x, wu, np.zeros((12, 8), np.float32), wd)
         np.testing.assert_allclose(out, np.zeros(8), atol=1e-7)
 
     def test_matches_oracle(self):
@@ -113,7 +116,7 @@ class TestFfn:
         gate = wg @ x
         silu = gate / (1.0 + np.exp(-gate))
         want = wd @ (up * silu)
-        np.testing.assert_allclose(tfm.ffn_forward(x, wu, wg, wd), want, rtol=1e-6)
+        np.testing.assert_allclose(oracles.ffn_forward(x, wu, wg, wd), want, rtol=1e-6)
 
 
 class TestCrossEntropy:
@@ -154,9 +157,9 @@ def oracle_forward(model, tokens):
         g1 = layer.norm1.data.astype(np.float64)
         g2 = layer.norm2.data.astype(np.float64)
         normed = [x / math.sqrt(float(np.mean(x * x)) + 1e-5) * g1 for x in xs]
-        qs = [np.concatenate([tfm.rope_apply((wq @ x).reshape(h, d)[i], p) for i in range(h)])
+        qs = [np.concatenate([oracles.rope_apply((wq @ x).reshape(h, d)[i], p) for i in range(h)])
               for p, x in enumerate(normed)]
-        ks = [np.concatenate([tfm.rope_apply((wk @ x).reshape(h, d)[i], p) for i in range(h)])
+        ks = [np.concatenate([oracles.rope_apply((wk @ x).reshape(h, d)[i], p) for i in range(h)])
               for p, x in enumerate(normed)]
         vs = [wv @ x for x in normed]
         outs = []
@@ -289,15 +292,22 @@ class TestModelBackward:
 
 
 class TestKvDecode:
+    """KV decode through the layer walk on a dense model; the subclasses below
+    rerun every case on q8, low-rank and mid-schedule blend models."""
+
+    @staticmethod
+    def build(seed):
+        return tfm.build_model(TOY, seed=seed)
+
     def test_cached_equals_uncached_greedy(self):
-        model = tfm.build_model(TOY, seed=9)
+        model = self.build(9)
         prompt = np.array([1, 2, 3])
         cached, _ = tfm.greedy_decode(model, prompt, 8, use_cache=True)
         uncached, _ = tfm.greedy_decode(model, prompt, 8, use_cache=False)
         assert cached == uncached
 
     def test_token_passes_drop_to_one_per_step(self):
-        model = tfm.build_model(TOY, seed=9)
+        model = self.build(9)
         prompt = np.array([1, 2, 3, 4])
         gen = 5
         _, passes_cached = tfm.greedy_decode(model, prompt, gen, use_cache=True)
@@ -306,7 +316,7 @@ class TestKvDecode:
         assert passes_full == sum(len(prompt) + i for i in range(gen))
 
     def test_ten_step_logits_match_uncached_oracle(self):
-        model = tfm.build_model(TOY, seed=11)
+        model = self.build(11)
         rng = np.random.default_rng(3)
         seq = rng.integers(0, 11, size=10)
         cache = tfm.KvCache(model)
@@ -319,12 +329,61 @@ class TestKvDecode:
         np.testing.assert_allclose(np.stack(stepwise), full, rtol=1e-5, atol=1e-5)
 
     def test_cache_overflow(self):
-        model = tfm.build_model(TOY, seed=9)
+        model = self.build(9)
         cache = tfm.KvCache(model)
         for _ in range(TOY.max_seq):
             _, cache = tfm.kv_decode_step(model, cache, 1)
         with pytest.raises(tfm.ModelError, match="overflow"):
             tfm.kv_decode_step(model, cache, 1)
+
+    def test_chunked_prefill_then_steps_match_full_forward(self):
+        model = self.build(11)
+        for layer in model.layers:  # sharp attention, so a wrong position moves the logits
+            layer.norm1.data[:] = 8.0
+        seq = np.random.default_rng(4).integers(0, 11, size=12)
+        cache = tfm.KvCache(model)
+        first, _ = tfm.model_forward(model, seq[:5], cache=cache)
+        second, tape = tfm.model_forward(model, seq[5:9], cache=cache)
+        assert cache.current_len == 9 and tape.entries == []
+        with pytest.raises(tfm.ModelError, match="final hidden state"):
+            tfm.model_backward(model, tape, np.zeros_like(second))
+        steps = [tfm.kv_decode_step(model, cache, int(tok))[0] for tok in seq[9:]]
+        full, _ = tfm.model_forward(model, seq)
+        np.testing.assert_allclose(np.concatenate([first, second, np.stack(steps)]), full, rtol=1e-5, atol=1e-5)
+
+    def test_cache_holds_one_sequence(self):
+        model = self.build(9)
+        with pytest.raises(tfm.ModelError, match="one sequence"):
+            tfm.model_forward(model, np.ones((2, 3), dtype=int), cache=tfm.KvCache(model))
+
+    @pytest.mark.parametrize("use_cache", [True, False])
+    def test_prompt_longer_than_max_seq_rejected(self, use_cache):
+        with pytest.raises(tfm.ModelError, match="max_seq"):
+            tfm.greedy_decode(self.build(9), np.ones(TOY.max_seq + 1, dtype=int), 2, use_cache=use_cache)
+
+    @pytest.mark.parametrize("use_cache", [True, False])
+    @pytest.mark.parametrize("bad", [TOY.vocab, -1])
+    def test_out_of_range_prompt_token_rejected(self, use_cache, bad):
+        with pytest.raises(tfm.ModelError, match="out of range"):
+            tfm.greedy_decode(self.build(9), [1, bad, 2], 2, use_cache=use_cache)
+
+
+class TestKvDecodeQ8(TestKvDecode):
+    @staticmethod
+    def build(seed):
+        return tfm.quantize_model(tfm.build_model(TOY, seed=seed), 8)
+
+
+class TestKvDecodeLowRank(TestKvDecode):
+    @staticmethod
+    def build(seed):  # every matrix, the embedding included, as rank-2 SVD factors
+        return lowrank.decompose_model(tfm.build_model(TOY, seed=seed), 2)
+
+
+class TestKvDecodeBlend(TestKvDecode):
+    @staticmethod
+    def build(seed):  # alpha(0) = 0.5: both paths carry weight
+        return lowrank.blend_model(tfm.build_model(TOY, seed=seed), r=2, start_alpha=0.5, end_step=4, seed=seed)
 
 
 class TestLayerSpecValidation:
