@@ -309,13 +309,12 @@ class Linear(_Terms):
             raise ModelError(f"{self.name}: merged adapter is inference-only")
         a, b = self._coefficients(step)
         dx = None
-        if self.down is not None:  # a frozen factor costs no weight-gradient GEMM
+        if self.down is not None:
             dy_low = dy if b == 1.0 else b * dy
-            if self.up.trainable:
-                _accumulate(grads, self.up, _mm(_flat2(dy_low).T, _flat2(_mm(x, self.down.data.T))))
+            hidden = _mm(x, self.down.data.T)
+            _accumulate(grads, self.up, _mm(_flat2(dy_low).T, _flat2(hidden)))
             dh = _mm(dy_low, self.up.data)
-            if self.down.trainable:
-                _accumulate(grads, self.down, _mm(_flat2(dh).T, _flat2(x)))
+            _accumulate(grads, self.down, _mm(_flat2(dh).T, _flat2(x)))
             dx = _mm(dh, self.down.data)
         if self.weight is not None and a != 0.0:
             w = self.weight.data
@@ -381,12 +380,12 @@ class Embedding(_Terms):
                 np.add.at(g, tokens.ravel(), _flat2(dx))
                 _accumulate(grads, self.weight, g)
             return
-        if self.up.trainable:
-            _accumulate(grads, self.up, _mm(_flat2(dx).T, _flat2(self.down.data.T[tokens])))
-        if self.down.trainable:
-            gdown = np.zeros_like(self.down.data.T)
-            np.add.at(gdown, tokens.ravel(), _flat2(_mm(dx, self.up.data)))
-            _accumulate(grads, self.down, gdown.T)
+        rows = self.down.data.T[tokens]
+        _accumulate(grads, self.up, _mm(_flat2(dx).T, _flat2(rows)))
+        drows = _mm(dx, self.up.data)
+        gdown = np.zeros_like(self.down.data.T)
+        np.add.at(gdown, tokens.ravel(), _flat2(drows))
+        _accumulate(grads, self.down, gdown.T)
 
 
 def DenseEmbedding(name: str, weight: np.ndarray, trainable: bool = True) -> Embedding:
@@ -849,6 +848,15 @@ def _layer_backward(layer: DecoderLayer, e: dict, dout, grads: dict, heads: int,
     return dx
 
 
+def _check_span(cfg: ModelConfig, tokens: np.ndarray, offset: int, cached: bool) -> None:
+    """Tokens placed at positions offset.. must fit max_seq and the vocabulary."""
+    if offset + tokens.shape[-1] > cfg.max_seq:
+        overflow = "kv cache overflow: " if cached else ""
+        raise ModelError(f"{overflow}sequence length {offset + tokens.shape[-1]} exceeds max_seq {cfg.max_seq}")
+    if tokens.min() < 0 or tokens.max() >= cfg.vocab:
+        raise ModelError(f"token id out of range [0, {cfg.vocab})")
+
+
 def model_forward(model: DecoderModel, tokens, policy: RecomputePolicy = STORE_ALL, step: int = 0,
                   cache: KvCache | None = None):
     """Full forward pass: embed -> N decoder layers -> output head.
@@ -870,11 +878,7 @@ def model_forward(model: DecoderModel, tokens, policy: RecomputePolicy = STORE_A
     cfg = model.config
     offset = 0 if cache is None else cache.length
     length = tokens.shape[1]
-    if offset + length > cfg.max_seq:
-        overflow = "" if cache is None else "kv cache overflow: "
-        raise ModelError(f"{overflow}sequence length {offset + length} exceeds max_seq {cfg.max_seq}")
-    if tokens.min() < 0 or tokens.max() >= cfg.vocab:
-        raise ModelError(f"token id out of range [0, {cfg.vocab})")
+    _check_span(cfg, tokens, offset, cache is not None)
 
     dtype = model.dtype
     cos, sin = _rope_tables(length, cfg.head_dim, cfg.rope_base, dtype, offset)
@@ -959,11 +963,13 @@ def greedy_decode(model: DecoderModel, prompt, max_new: int, use_cache: bool = T
 
     With the cache the prompt is prefilled in one pass and each new token
     takes one more; passes count tokens, so that is len(prompt) + max_new - 1.
-    Without it every step reruns the whole sequence.
+    Without it every step reruns the whole sequence. The prompt is checked
+    before any pass, so a bad prompt raises ModelError even when max_new is 0.
     """
     prompt = list(int(t) for t in np.asarray(prompt).ravel())
     if not prompt:
         raise ModelError("prompt must hold at least one token")
+    _check_span(model.config, np.array(prompt), 0, use_cache)
     cache = KvCache(model) if use_cache else None
     generated: list[int] = []
     passes = 0

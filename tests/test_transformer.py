@@ -293,7 +293,7 @@ class TestModelBackward:
 
 class TestKvDecode:
     """KV decode through the layer walk on a dense model; the subclasses below
-    rerun every case on q8, low-rank and mid-schedule blend models."""
+    rerun every numerical case on q8, low-rank and mid-schedule blend models."""
 
     @staticmethod
     def build(seed):
@@ -351,22 +351,6 @@ class TestKvDecode:
         full, _ = tfm.model_forward(model, seq)
         np.testing.assert_allclose(np.concatenate([first, second, np.stack(steps)]), full, rtol=1e-5, atol=1e-5)
 
-    def test_cache_holds_one_sequence(self):
-        model = self.build(9)
-        with pytest.raises(tfm.ModelError, match="one sequence"):
-            tfm.model_forward(model, np.ones((2, 3), dtype=int), cache=tfm.KvCache(model))
-
-    @pytest.mark.parametrize("use_cache", [True, False])
-    def test_prompt_longer_than_max_seq_rejected(self, use_cache):
-        with pytest.raises(tfm.ModelError, match="max_seq"):
-            tfm.greedy_decode(self.build(9), np.ones(TOY.max_seq + 1, dtype=int), 2, use_cache=use_cache)
-
-    @pytest.mark.parametrize("use_cache", [True, False])
-    @pytest.mark.parametrize("bad", [TOY.vocab, -1])
-    def test_out_of_range_prompt_token_rejected(self, use_cache, bad):
-        with pytest.raises(tfm.ModelError, match="out of range"):
-            tfm.greedy_decode(self.build(9), [1, bad, 2], 2, use_cache=use_cache)
-
 
 class TestKvDecodeQ8(TestKvDecode):
     @staticmethod
@@ -384,6 +368,29 @@ class TestKvDecodeBlend(TestKvDecode):
     @staticmethod
     def build(seed):  # alpha(0) = 0.5: both paths carry weight
         return lowrank.blend_model(tfm.build_model(TOY, seed=seed), r=2, start_alpha=0.5, end_step=4, seed=seed)
+
+
+class TestDecodeInputValidation:
+    """Token checks run before any matrix, so one dense model covers every kind."""
+
+    model = tfm.build_model(TOY, seed=9)
+
+    def test_cache_holds_one_sequence(self):
+        with pytest.raises(tfm.ModelError, match="one sequence"):
+            tfm.model_forward(self.model, np.ones((2, 3), dtype=int), cache=tfm.KvCache(self.model))
+
+    @pytest.mark.parametrize("max_new", [0, 2])
+    @pytest.mark.parametrize("use_cache", [True, False])
+    def test_prompt_longer_than_max_seq_rejected(self, use_cache, max_new):
+        with pytest.raises(tfm.ModelError, match="max_seq"):
+            tfm.greedy_decode(self.model, np.ones(TOY.max_seq + 1, dtype=int), max_new, use_cache=use_cache)
+
+    @pytest.mark.parametrize("max_new", [0, 2])
+    @pytest.mark.parametrize("use_cache", [True, False])
+    @pytest.mark.parametrize("bad", [TOY.vocab, -1])
+    def test_out_of_range_prompt_token_rejected(self, use_cache, bad, max_new):
+        with pytest.raises(tfm.ModelError, match="out of range"):
+            tfm.greedy_decode(self.model, [1, bad, 2], max_new, use_cache=use_cache)
 
 
 class TestLayerSpecValidation:
