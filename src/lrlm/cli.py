@@ -67,7 +67,10 @@ def load_experiment_config(path) -> dict:
 
 def _model_config_from(section: dict) -> tuple[ModelConfig, str]:
     if "preset" in section:
-        preset = get_preset(section["preset"])
+        name = section["preset"]
+        if not isinstance(name, str) or name not in PRESETS:
+            raise ConfigError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
+        preset = PRESETS[name]
         overrides = {k: v for k, v in section.items() if k != "preset"}
         if overrides:
             merged = {**preset.config.to_dict(), **overrides}
@@ -555,7 +558,7 @@ def main(argv=None) -> int:
         args.seed = 0
     try:
         return args.func(args)
-    except (ConfigError, ModelError, CheckpointError, KeyError, ValueError, OSError) as exc:
+    except (ConfigError, ModelError, CheckpointError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SvdConvergenceError, TrainError, FloatingPointError) as exc:

@@ -1,4 +1,5 @@
-"""Deterministic dense linear algebra: products, norms, seeded init, truncated SVD.
+"""Deterministic dense linear algebra: products, norms, seeded init, truncated SVD
+and its seeded randomized sketch.
 
 Grids are plain 2-D numpy arrays, float32 by default. Products accumulate in
 float64 regardless of storage dtype so results stay close to exact arithmetic
@@ -18,7 +19,14 @@ __all__ = [
     "seeded_random",
     "SplitMix64",
     "truncated_svd",
+    "sketched_svd",
 ]
+
+# Randomized range finder (Halko, Martinsson and Tropp, arXiv:0909.4061):
+# oversampling p, power iterations q, and the fixed seed of the test matrix.
+SKETCH_OVERSAMPLE = 8
+SKETCH_POWER_ITERS = 2
+SKETCH_SEED = 0x5EED
 
 
 class LinalgError(ValueError):
@@ -270,3 +278,34 @@ def truncated_svd(w: np.ndarray, r: int, *, max_sweeps: int = 100):
         v_t = v_r.T
 
     return u_sigma.astype(out_dtype), v_t.astype(out_dtype), spectrum
+
+
+def _orthonormal(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (reduced Householder QR) of the columns of a."""
+    q, _ = np.linalg.qr(a)
+    return q
+
+
+def sketched_svd(w: np.ndarray, r: int):
+    """Near-optimal rank-r factors (u_sigma, v_t) of w from a randomized sketch.
+
+    A seeded Gaussian test matrix of width l = r + SKETCH_OVERSAMPLE captures
+    the range of w, SKETCH_POWER_ITERS re-orthonormalized power iterations
+    sharpen it, and truncated_svd of the small l x m projection Q^T w gives the
+    factors; all in float64, cast back to w's dtype. The seed is fixed, so the
+    factors depend only on w and r. Where the sketch would not be small
+    (2 * l > min(n, m)) the exact truncated_svd factors are returned unchanged.
+    """
+    w = _as_grid(w, "w")
+    n, m = w.shape
+    width = r + SKETCH_OVERSAMPLE
+    if not 1 <= r <= min(n, m) or 2 * width > min(n, m):
+        u_sigma, v_t, _ = truncated_svd(w, r)
+        return u_sigma, v_t
+    a = w.astype(np.float64)
+    omega = SplitMix64(SKETCH_SEED).gaussian(m * width).reshape(m, width)
+    q = _orthonormal(a @ omega)
+    for _ in range(SKETCH_POWER_ITERS):
+        q = _orthonormal(a @ _orthonormal(a.T @ q))
+    u_b, v_t, _ = truncated_svd(q.T @ a, r)
+    return (q @ u_b).astype(w.dtype), v_t.astype(w.dtype)

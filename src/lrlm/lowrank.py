@@ -30,7 +30,6 @@ from .transformer import (
 
 __all__ = [
     "LowRankFactors",
-    "lr_forward",
     "lr_param_count",
     "decompose_linear",
     "decompose_model",
@@ -75,17 +74,15 @@ def lr_param_count(r: int, fan_in: int, fan_out: int) -> int:
     return r * (fan_in + fan_out)
 
 
-def lr_forward(f: LowRankFactors, x: np.ndarray) -> np.ndarray:
-    """up @ (down @ x); 2*r*(fan_in + fan_out) multiplies, up@down never formed."""
-    x = np.asarray(x)
-    if x.shape[0] != f.fan_in:
-        raise ModelError(f"lr_forward dimension mismatch: fan_in {f.fan_in}, x {x.shape}")
-    return linalg.matvec(f.up, linalg.matvec(f.down, x))
-
-
 def decompose_linear(w: np.ndarray, r: int) -> LowRankFactors:
-    """Best rank-r factors of a dense weight via truncated SVD (Eckart-Young)."""
-    u_sigma, v_t, _ = linalg.truncated_svd(w, r)
+    """Rank-r SVD factors of a dense weight.
+
+    Where 2 * (r + linalg.SKETCH_OVERSAMPLE) <= min(w.shape) the factors come
+    from a seeded randomized sketch (linalg.sketched_svd): near-optimal rather
+    than exact, and identical for identical w and r. Smaller matrices get the
+    exact truncated SVD, the Eckart-Young optimum.
+    """
+    u_sigma, v_t = linalg.sketched_svd(w, r)
     return LowRankFactors(down=v_t, up=u_sigma)
 
 

@@ -19,8 +19,6 @@ __all__ = [
     "qmatvec",
     "qmatmul",
     "qmatmul_t",
-    "quantize_activations",
-    "dequantize_activations",
     "quantized_size_bytes",
 ]
 
@@ -106,22 +104,19 @@ def dequantize_rows(q: QuantizedMatrix, dtype=np.float32) -> np.ndarray:
 
 
 def qmatvec(q: QuantizedMatrix, x: np.ndarray) -> np.ndarray:
-    """matvec against the quantized rows without materializing the dequantized grid.
-
-    Row i factors as scale_i * (codes_i . x) + offset_i * sum(x).
-    """
+    """matvec against the quantized rows without materializing the dequantized
+    grid: the one-row case of qmatmul."""
     x = np.asarray(x)
     if x.shape[-1] != q.cols:
         raise QuantError(f"qmatvec dimension mismatch: {q.rows}x{q.cols} @ {x.shape}")
-    codes = q.unpacked_codes().astype(np.float64)
-    xs = x.astype(np.float64)
-    dot = codes @ xs
-    out = q.scale.astype(np.float64) * dot + q.offset.astype(np.float64) * xs.sum()
-    return out.astype(np.result_type(x.dtype, np.float32))
+    return qmatmul(q, x[None, :])[0]
 
 
 def qmatmul(q: QuantizedMatrix, x: np.ndarray) -> np.ndarray:
-    """Batched form of qmatvec: x (..., cols) -> (..., rows)."""
+    """x (..., cols) -> (..., rows) against the quantized rows, without dequantizing.
+
+    Row i factors as scale_i * (codes_i . x) + offset_i * sum(x).
+    """
     x = np.asarray(x)
     if x.shape[-1] != q.cols:
         raise QuantError(f"qmatmul dimension mismatch: {q.rows}x{q.cols} vs {x.shape}")
@@ -142,18 +137,6 @@ def qmatmul_t(q: QuantizedMatrix, dy: np.ndarray) -> np.ndarray:
     scaled = ds * q.scale.astype(np.float64)
     out = scaled @ codes + (ds @ q.offset.astype(np.float64))[..., None]
     return out.astype(np.result_type(dy.dtype, np.float32))
-
-
-def quantize_activations(x: np.ndarray, bits: int) -> QuantizedMatrix:
-    """Single-vector min-max quantization, same rule as weight rows."""
-    x = np.asarray(x)
-    if x.ndim != 1:
-        raise QuantError(f"expected 1-D vector, got shape {x.shape}")
-    return quantize_rows(x[None, :], bits)
-
-
-def dequantize_activations(q: QuantizedMatrix, dtype=np.float32) -> np.ndarray:
-    return dequantize_rows(q, dtype)[0]
 
 
 def quantized_size_bytes(param_count: int, bits: int, row_len: int) -> int:

@@ -31,7 +31,6 @@ __all__ = [
     "train_step",
     "train",
     "TrainResult",
-    "recompute_backward",
     "grad_check",
     "GradCheckReport",
     "byte_tokenize",
@@ -221,20 +220,6 @@ def train(model: DecoderModel, tokens: np.ndarray, config: TrainConfig,
         if stop_below is not None and loss < stop_below:
             break
     return result
-
-
-def recompute_backward(model: DecoderModel, tape, dlogits, step: int = 0):
-    """Backward under the tape's recompute policy, plus its analytic cost.
-
-    Gradients equal the store-all policy's (the rebuilt activations are
-    bit-identical); the returned ratios price the extra forward work, e.g.
-    +33% of total training compute for the per-layer policy.
-    """
-    from .costmodel import recompute_ratios
-
-    grads = model_backward(model, tape, dlogits, step=step)
-    ratios = recompute_ratios(model.config, tape.tokens.shape[1], tape.policy)
-    return grads, ratios
 
 
 # ---------------------------------------------------------------------------

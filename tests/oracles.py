@@ -5,7 +5,16 @@ import math
 
 import numpy as np
 
+from lrlm import linalg
 from lrlm.transformer import ModelError, _mm, _silu, softmax
+
+
+def lr_forward(down: np.ndarray, up: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """up @ (down @ x) for one vector; 2*r*(fan_in + fan_out) multiplies, up@down never formed."""
+    x = np.asarray(x)
+    if x.shape[0] != down.shape[1]:
+        raise ModelError(f"lr_forward dimension mismatch: fan_in {down.shape[1]}, x {x.shape}")
+    return linalg.matvec(up, linalg.matvec(down, x))
 
 
 def rope_apply(v: np.ndarray, position: int, base: float = 10000.0) -> np.ndarray:

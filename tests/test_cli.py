@@ -233,6 +233,25 @@ class TestConfigHandling:
         assert rc == 0
 
 
+@pytest.mark.parametrize("preset", ["llama9", ["toy"]], ids=["unknown-name", "not-a-name"])
+def test_unknown_preset_in_config_is_config_error(tmp_path, capsys, preset):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"model": {"preset": preset}}))
+    rc = cli.main(["--out", str(tmp_path / "o"), "pretrain", "--config", str(cfg)])
+    assert rc == 1
+    assert f"error: unknown preset {preset!r}; available: gpt2-1.5b" in capsys.readouterr().err
+
+
+def test_internal_key_error_is_not_relabelled(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise KeyError("internal table slot")
+
+    monkeypatch.setattr(cli.costmodel, "count_params", broken)
+    with pytest.raises(KeyError, match="internal table slot"):
+        cli.main(["--out", str(tmp_path / "o"), "plan", "params", "--preset", "toy"])
+    assert "error:" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("section", [
     {"model": {"preset": "toy"}, "layers": {"wq": {"kind": "lowrank", "r": 4, "bogus": 1}}},
     {"model": {"vocab": 10}},

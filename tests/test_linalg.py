@@ -179,3 +179,45 @@ class TestTruncatedSvd:
     def test_zero_matrix(self):
         us, vt, spectrum = linalg.truncated_svd(np.zeros((5, 4), np.float32), 2)
         assert not us.any() and not vt.any() and not spectrum.any()
+
+
+class TestSketchedSvd:
+    @pytest.mark.parametrize("shape,r", [((16, 16), 4), ((10, 8), 3), ((31, 40), 8), ((128, 64), 25)])
+    def test_below_threshold_is_truncated_svd(self, shape, r):
+        # 2 * (r + 8) > min(shape): the exact factors, byte for byte.
+        w = linalg.seeded_random(*shape, seed=sum(shape))
+        us, vt = linalg.sketched_svd(w, r)
+        want_us, want_vt, _ = linalg.truncated_svd(w, r)
+        assert us.tobytes() == want_us.tobytes() and vt.tobytes() == want_vt.tobytes()
+
+    def test_seeded_and_dtype_preserving(self):
+        w = linalg.seeded_random(96, 64, seed=21)
+        us, vt = linalg.sketched_svd(w, 8)
+        again_us, again_vt = linalg.sketched_svd(w.copy(), 8)
+        assert us.dtype == vt.dtype == np.float32
+        assert us.shape == (96, 8) and vt.shape == (8, 64)
+        assert us.tobytes() == again_us.tobytes() and vt.tobytes() == again_vt.tobytes()
+        us64, vt64 = linalg.sketched_svd(w.astype(np.float64), 8)
+        assert us64.dtype == vt64.dtype == np.float64
+
+    def test_orthonormal_right_factor(self):
+        w = linalg.seeded_random(64, 96, seed=22).astype(np.float64)
+        _, vt = linalg.sketched_svd(w, 8)
+        np.testing.assert_allclose(vt @ vt.T, np.eye(8), atol=1e-6)
+
+    def test_exact_on_low_rank_input(self):
+        # A rank-6 matrix lies inside the 14-wide sketch, so rank 6 recovers it.
+        w = (linalg.seeded_random(80, 6, seed=23).astype(np.float64)
+             @ linalg.seeded_random(6, 70, seed=24).astype(np.float64))
+        us, vt = linalg.sketched_svd(w, 6)
+        assert np.linalg.norm(w - us @ vt) <= 1e-10 * np.linalg.norm(w)
+
+    def test_zero_matrix(self):
+        us, vt = linalg.sketched_svd(np.zeros((64, 48), np.float32), 4)
+        assert not us.any() and not vt.any()
+
+    def test_rank_out_of_range(self):
+        w = linalg.seeded_random(64, 64, seed=25)
+        for bad in (0, 65):
+            with pytest.raises(linalg.LinalgError):
+                linalg.sketched_svd(w, bad)

@@ -4,25 +4,45 @@ import pytest
 from lrlm import linalg, lowrank, trainer
 from lrlm import transformer as tfm
 from lrlm.quant import quantize_rows
-from lrlm.transformer import LoraLinear, ModelError, QuantizedLinear
+from lrlm.transformer import LoraLinear, LowRankLinear, ModelError, QuantizedLinear
+
+from oracles import lr_forward
 
 TOY = tfm.ModelConfig(vocab=11, dim=8, heads=2, layers=2, ffn_dim=12, max_seq=16)
+# Large enough that every matrix, the embedding included, takes the sketched path at r=16.
+WIDE = tfm.ModelConfig(vocab=64, dim=128, heads=4, layers=1, ffn_dim=256, max_seq=16)
+
+
+def power_law(rows: int, cols: int, seed: int) -> np.ndarray:
+    """Random singular vectors with singular values proportional to 1/i, float32."""
+    rng = np.random.default_rng(seed)
+    k = min(rows, cols)
+    u, _ = np.linalg.qr(rng.standard_normal((rows, k)))
+    v, _ = np.linalg.qr(rng.standard_normal((cols, k)))
+    return ((u / np.arange(1, k + 1)) @ v.T).astype(np.float32)
+
+
+def optimality_ratio(w: np.ndarray, f, r: int) -> float:
+    """Frobenius error of the factors over the Eckart-Young optimum of numpy's SVD."""
+    w = w.astype(np.float64)
+    err = np.linalg.norm(w - f.up.astype(np.float64) @ f.down.astype(np.float64))
+    return float(err / np.sqrt(np.sum(np.linalg.svd(w, compute_uv=False)[r:] ** 2)))
 
 
 class TestLrForward:
     def test_zero_up_gives_zero(self):
-        f = lowrank.LowRankFactors(
-            down=linalg.seeded_random(3, 6, seed=1), up=np.zeros((5, 3), np.float32)
-        )
-        assert not lowrank.lr_forward(f, np.ones(6, np.float32)).any()
+        down, up = linalg.seeded_random(3, 6, seed=1), np.zeros((5, 3), np.float32)
+        assert not lr_forward(down, up, np.ones(6, np.float32)).any()
+        assert not LowRankLinear("w", down, up).forward(np.ones((1, 6), np.float32)).any()
 
     def test_matches_explicit_product(self):
         down = linalg.seeded_random(4, 9, seed=2)
         up = linalg.seeded_random(7, 4, seed=3)
-        f = lowrank.LowRankFactors(down=down, up=up)
         x = linalg.seeded_random(9, 1, seed=4)[:, 0]
         dense = linalg.matmul(up, down)
-        np.testing.assert_allclose(lowrank.lr_forward(f, x), linalg.matvec(dense, x), rtol=1e-5)
+        np.testing.assert_allclose(lr_forward(down, up, x), linalg.matvec(dense, x), rtol=1e-5)
+        np.testing.assert_allclose(LowRankLinear("w", down, up).forward(x[None, :])[0],
+                                   linalg.matvec(dense, x), rtol=1e-5)
 
     def test_rank512_parameter_reduction(self):
         # 4096x4096 layer at r=512: 16.78 M dense -> 4.19 M factored.
@@ -30,19 +50,19 @@ class TestLrForward:
         assert lowrank.lr_param_count(512, 4096, 4096) == 4_194_304
 
     def test_linearity(self):
-        f = lowrank.LowRankFactors(
-            down=linalg.seeded_random(3, 6, seed=5), up=linalg.seeded_random(4, 3, seed=6)
-        )
+        down, up = linalg.seeded_random(3, 6, seed=5), linalg.seeded_random(4, 3, seed=6)
         x = linalg.seeded_random(6, 1, seed=7)[:, 0]
         y = linalg.seeded_random(6, 1, seed=8)[:, 0]
-        lhs = lowrank.lr_forward(f, x + y)
-        rhs = lowrank.lr_forward(f, x) + lowrank.lr_forward(f, y)
+        lhs = lr_forward(down, up, x + y)
+        rhs = lr_forward(down, up, x) + lr_forward(down, up, y)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-5, atol=1e-6)
+        mat = LowRankLinear("w", down, up)
+        np.testing.assert_allclose(mat.forward((x + y)[None, :]),
+                                   mat.forward(x[None, :]) + mat.forward(y[None, :]), rtol=1e-5, atol=1e-6)
 
     def test_dimension_mismatch(self):
-        f = lowrank.LowRankFactors(down=np.ones((2, 3), np.float32), up=np.ones((4, 2), np.float32))
         with pytest.raises(ModelError):
-            lowrank.lr_forward(f, np.ones(4, np.float32))
+            lr_forward(np.ones((2, 3), np.float32), np.ones((4, 2), np.float32), np.ones(4, np.float32))
 
 
 class TestDecomposeLinear:
@@ -72,7 +92,43 @@ class TestDecomposeLinear:
         assert all(a >= b - 1e-9 for a, b in zip(errs, errs[1:]))
 
 
+class TestDecomposeLinearSketched:
+    @pytest.mark.parametrize("shape", [(128, 128), (256, 128), (128, 256)])
+    def test_power_law_near_optimal(self, shape):
+        w = power_law(*shape, seed=shape[0] + shape[1])
+        assert optimality_ratio(w, lowrank.decompose_linear(w, 16), 16) <= 1.05
+
+    def test_gpt2_ffn_shape_near_optimal(self):
+        w = power_law(768, 3072, seed=7)
+        f = lowrank.decompose_linear(w, 16)
+        assert f.up.shape == (768, 16) and f.down.shape == (16, 3072)
+        assert optimality_ratio(w, f, 16) <= 1.05
+
+    def test_flat_spectrum_needs_power_iterations(self):
+        # A Gaussian matrix has no spectral gap; a plain sketch lands near 1.09.
+        w = linalg.seeded_random(128, 128, seed=3)
+        assert optimality_ratio(w, lowrank.decompose_linear(w, 16), 16) <= 1.05
+
+    def test_below_threshold_matches_truncated_svd(self):
+        w = linalg.seeded_random(40, 30, seed=14)
+        f = lowrank.decompose_linear(w, 8)
+        us, vt, _ = linalg.truncated_svd(w, 8)
+        assert f.up.tobytes() == us.tobytes() and f.down.tobytes() == vt.tobytes()
+
+
 class TestDecomposeModel:
+    def test_sketched_worker_count_invariance(self, tmp_path, monkeypatch):
+        from lrlm.checkpoint import save_checkpoint
+
+        model = tfm.build_model(WIDE, seed=4)
+        monkeypatch.setenv("LRLM_THREADS", "3")  # read when worker_count is None
+        blobs = []
+        for workers in (1, 2, 4, None):
+            path = tmp_path / f"w{workers}.lrlm"
+            save_checkpoint(path, lowrank.decompose_model(model, 16, worker_count=workers))
+            blobs.append(path.read_bytes())
+        assert all(b == blobs[0] for b in blobs[1:])
+
     def test_worker_count_invariance(self, tmp_path):
         from lrlm.checkpoint import save_checkpoint
 

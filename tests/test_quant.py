@@ -4,12 +4,10 @@ import pytest
 from lrlm import linalg
 from lrlm.quant import (
     QuantError,
-    dequantize_activations,
     dequantize_rows,
     qmatmul,
     qmatmul_t,
     qmatvec,
-    quantize_activations,
     quantize_rows,
     quantized_size_bytes,
 )
@@ -127,20 +125,22 @@ class TestQmatmulTranspose:
 
 
 class TestActivations:
+    """A single activation vector quantizes as one row, by the weight rule."""
+
     def test_on_grid_exact(self):
         scale = 0.5
         x = (np.arange(16) * scale - 2.0).astype(np.float32)  # exactly on a 4-bit grid
-        q = quantize_activations(x, 4)
-        np.testing.assert_allclose(dequantize_activations(q), x, atol=1e-6)
+        q = quantize_rows(x[None, :], 4)
+        np.testing.assert_allclose(dequantize_rows(q)[0], x, atol=1e-6)
 
     def test_constant_exact(self):
         x = np.full(9, -1.25, dtype=np.float32)
-        np.testing.assert_array_equal(dequantize_activations(quantize_activations(x, 8)), x)
+        np.testing.assert_array_equal(dequantize_rows(quantize_rows(x[None, :], 8))[0], x)
 
     def test_error_bound(self):
         x = linalg.seeded_random(1, 257, seed=8)[0]
-        q = quantize_activations(x, 8)
-        err = np.abs(x.astype(np.float64) - dequantize_activations(q, np.float64))
+        q = quantize_rows(x[None, :], 8)
+        err = np.abs(x.astype(np.float64) - dequantize_rows(q, np.float64)[0])
         assert (err <= q.scale[0] / 2 + 1e-6).all()
 
 

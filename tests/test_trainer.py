@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lrlm import lowrank, trainer
+from lrlm import costmodel, lowrank, trainer
 from lrlm import transformer as tfm
 from lrlm.trainer import AdamWState, TrainConfig, TrainError
 
@@ -134,7 +134,8 @@ class TestRecomputeBackward:
         targets = rng.integers(0, TOY.vocab, (1, 8))
         logits, tape = tfm.model_forward(model, tokens, tfm.PER_LAYER)
         dlogits = tfm.cross_entropy_grad(logits, targets)
-        grads, ratios = trainer.recompute_backward(model, tape, dlogits)
+        grads = tfm.model_backward(model, tape, dlogits)
+        ratios = costmodel.recompute_ratios(model.config, tokens.shape[1], tape.policy)
         assert ratios["policy"] == "per_layer"
         assert ratios["vs_total"] == pytest.approx(1 / 3)
         logits2, tape2 = tfm.model_forward(model, tokens, tfm.STORE_ALL)
