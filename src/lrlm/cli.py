@@ -265,7 +265,10 @@ def _train_config_from(args, section: dict | None = None) -> TrainConfig:
     policy = _policy_from(section)
     section.pop("recompute", None)
     section.pop("selective_drop", None)
-    return TrainConfig(recompute=policy, **section)
+    try:
+        return TrainConfig(recompute=policy, **section)
+    except TrainError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _cmd_pretrain(args) -> int:

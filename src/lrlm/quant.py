@@ -122,8 +122,9 @@ def qmatmul(q: QuantizedMatrix, x: np.ndarray) -> np.ndarray:
         raise QuantError(f"qmatmul dimension mismatch: {q.rows}x{q.cols} vs {x.shape}")
     codes = q.unpacked_codes().astype(np.float64)
     xs = x.astype(np.float64)
-    dot = xs @ codes.T
-    out = dot * q.scale.astype(np.float64) + xs.sum(axis=-1, keepdims=True) * q.offset.astype(np.float64)
+    out = xs @ codes.T
+    out *= q.scale.astype(np.float64)
+    out += xs.sum(axis=-1, keepdims=True) * q.offset.astype(np.float64)
     return out.astype(np.result_type(x.dtype, np.float32))
 
 
@@ -134,8 +135,8 @@ def qmatmul_t(q: QuantizedMatrix, dy: np.ndarray) -> np.ndarray:
         raise QuantError(f"qmatmul_t dimension mismatch: {q.rows}x{q.cols} vs {dy.shape}")
     codes = q.unpacked_codes().astype(np.float64)
     ds = dy.astype(np.float64)
-    scaled = ds * q.scale.astype(np.float64)
-    out = scaled @ codes + (ds @ q.offset.astype(np.float64))[..., None]
+    out = (ds * q.scale.astype(np.float64)) @ codes
+    out += (ds @ q.offset.astype(np.float64))[..., None]
     return out.astype(np.result_type(dy.dtype, np.float32))
 
 

@@ -403,18 +403,23 @@ def LowRankEmbedding(name: str, down: np.ndarray, up: np.ndarray, trainable: boo
 
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    m = np.max(z, axis=axis, keepdims=True)
-    e = np.exp(z - m)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = z - np.max(z, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=axis, keepdims=True)
+    return e
+
+
+def _softmax_backward(s: np.ndarray, ds: np.ndarray) -> np.ndarray:
+    """d loss / dz from s = softmax(z) and ds = d loss / ds, written into ds; s is never written."""
+    ds -= np.sum(ds * s, axis=-1, keepdims=True)
+    return np.multiply(ds, s, out=ds)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, so exp never overflows."""
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e)
+    return np.divide(out, np.add(e, 1.0, out=e), out=out)
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
@@ -557,13 +562,8 @@ class DecoderLayer:
         self.index = index
         self.norm1 = norm1
         self.norm2 = norm2
-        self.wq = mats["wq"]
-        self.wk = mats["wk"]
-        self.wv = mats["wv"]
-        self.wo = mats["wo"]
-        self.wu = mats["wu"]
-        self.wg = mats["wg"]
-        self.wd = mats["wd"]
+        for name in LAYER_MATRICES:
+            setattr(self, name, mats[name])
 
     def matrices(self) -> dict:
         return {name: getattr(self, name) for name in LAYER_MATRICES}
@@ -748,8 +748,10 @@ def _unheads(x: np.ndarray) -> np.ndarray:
 
 def _scores(q, k, heads: int, mask):
     """Masked attention scores q k^T / sqrt(head_dim) + mask, per head."""
-    scale = np.asarray(1.0 / math.sqrt(q.shape[-1] // heads), dtype=q.dtype)
-    return _mm(_heads(q, heads), _heads(k, heads).transpose(0, 1, 3, 2)) * scale + mask
+    out = _mm(_heads(q, heads), _heads(k, heads).transpose(0, 1, 3, 2))
+    out *= np.asarray(1.0 / math.sqrt(q.shape[-1] // heads), dtype=q.dtype)
+    out += mask
+    return out
 
 
 def _layer_forward(layer: DecoderLayer, x, cos, sin, mask, heads: int, step: int, cache_slot=None):
@@ -784,11 +786,6 @@ def _layer_forward(layer: DecoderLayer, x, cos, sin, mask, heads: int, step: int
         "qkT": qkT, "s": s, "res1": res1, "norm2": norm2, "up": up, "gate": gate,
     }
     return out, entry
-
-
-def _filter_entry(entry: dict, policy: RecomputePolicy) -> dict:
-    kept = policy.kept_keys()
-    return {k: entry[k] for k in kept}
 
 
 def _rebuild_entry(layer: DecoderLayer, stored: dict, tape: DecoderTape, heads: int, step: int) -> dict:
@@ -832,8 +829,8 @@ def _layer_backward(layer: DecoderLayer, e: dict, dout, grads: dict, heads: int,
     dch = _heads(dcontext, heads)
     ds = _mm(dch, vh.transpose(0, 1, 3, 2))
     dvh = _mm(e["s"].transpose(0, 1, 3, 2), dch)
-    # Softmax backward; rows of s are zero on masked positions, so no re-mask needed.
-    dqkT = e["s"] * (ds - np.sum(ds * e["s"], axis=-1, keepdims=True))
+    # Rows of s are zero on masked positions, so no re-mask needed.
+    dqkT = _softmax_backward(e["s"], ds)
     qh = _heads(e["q"], heads)
     kh = _heads(e["k"], heads)
     dqh = _mm(dqkT, kh) * scale
@@ -890,7 +887,7 @@ def model_forward(model: DecoderModel, tokens, policy: RecomputePolicy = STORE_A
         slot = None if cache is None else (cache.k[layer.index], cache.v[layer.index], offset)
         x, entry = _layer_forward(layer, x, cos, sin, mask, cfg.heads, step, slot)
         if cache is None:
-            tape.entries.append(_filter_entry(entry, policy))
+            tape.entries.append({k: entry[k] for k in policy.kept_keys()})
     if cache is None:
         tape.x_final = x
         tape.peak_bytes = tape.stored_bytes()
@@ -938,7 +935,6 @@ class KvCache:
 
     def __init__(self, model: DecoderModel):
         cfg = model.config
-        self.max_seq = cfg.max_seq
         self.length = 0
         self.k = [np.zeros((cfg.max_seq, cfg.dim), dtype=model.dtype) for _ in range(cfg.layers)]
         self.v = [np.zeros((cfg.max_seq, cfg.dim), dtype=model.dtype) for _ in range(cfg.layers)]

@@ -62,3 +62,25 @@ def ffn_forward(x: np.ndarray, w_up: np.ndarray, w_gate: np.ndarray, w_down: np.
     up = _mm(np.asarray(x)[None, :], np.asarray(w_up).T)[0]
     gate = _mm(np.asarray(x)[None, :], np.asarray(w_gate).T)[0]
     return _mm((up * _silu(gate))[None, :], np.asarray(w_down).T)[0]
+
+
+def sigmoid_masked(x: np.ndarray) -> np.ndarray:
+    """Stable logistic by boolean masks: 1/(1+e^-x) where x >= 0, e^x/(1+e^x) elsewhere."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def softmax_three_temps(z: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Max-shifted softmax as max, exp(z - max) and the normalized quotient."""
+    m = np.max(z, axis=axis, keepdims=True)
+    e = np.exp(z - m)
+    return e / np.sum(e, axis=axis, keepdims=True)
+
+
+def softmax_backward(s: np.ndarray, ds: np.ndarray) -> np.ndarray:
+    """d loss / dz = s * (ds - sum(ds * s)) over the last axis, for s = softmax(z)."""
+    return s * (ds - np.sum(ds * s, axis=-1, keepdims=True))

@@ -262,3 +262,24 @@ def test_malformed_model_dict_is_config_error(tmp_path, capsys, section):
     rc = cli.main(["--out", str(tmp_path / "o"), "pretrain", "--config", str(cfg)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("train, message", [
+    ({"method": "bogus"}, "unknown method 'bogus'"),
+    ({"batch": 3, "micro_batches": 2}, "batch must divide evenly into micro_batches"),
+    ({"beta1": 1.5}, "betas must lie in (0, 1)"),
+    ({"lr": -1.0}, "lr must be > 0"),
+], ids=["unknown-method", "micro-batches", "beta1", "negative-lr"])
+def test_malformed_train_settings_are_config_errors(tmp_path, capsys, train, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"model": {"preset": "toy"}, "train": train}))
+    rc = cli.main(["--out", str(tmp_path / "o"), "pretrain", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"error: {message}" in err and "numeric failure" not in err
+
+
+def test_negative_lr_flag_is_config_error(tmp_path, capsys):
+    rc = cli.main(["--out", str(tmp_path / "o"), "pretrain", "--preset", "toy", "--steps", "1", "--lr", "-1"])
+    assert rc == 1
+    assert "error: lr must be > 0" in capsys.readouterr().err

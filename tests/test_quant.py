@@ -116,6 +116,22 @@ class TestQmatmulTranspose:
         want = dy.astype(np.float64) @ dequantize_rows(q, np.float64)
         np.testing.assert_allclose(qmatmul_t(q, dy), want, rtol=1e-5, atol=1e-6)
 
+    @pytest.mark.parametrize("bits", [4, 8])
+    def test_epilogue_matches_two_temporary_form(self, bits):
+        """scale * (x @ codes^T) + sum(x) * offset, and its transpose, bit for bit."""
+        q = quantize_rows(linalg.seeded_random(24, 40, seed=bits), bits)
+        codes = q.unpacked_codes().astype(np.float64)
+        scale, offset = q.scale.astype(np.float64), q.offset.astype(np.float64)
+        for dtype in (np.float32, np.float64):
+            x = linalg.seeded_random(6, 40, seed=8).astype(dtype)
+            xs = x.astype(np.float64)
+            want = (xs @ codes.T) * scale + xs.sum(axis=-1, keepdims=True) * offset
+            assert qmatmul(q, x).tobytes() == want.astype(dtype).tobytes()
+            dy = linalg.seeded_random(6, 24, seed=9).astype(dtype).reshape(2, 3, 24)
+            ds = dy.astype(np.float64)
+            want_t = (ds * scale) @ codes + (ds @ offset)[..., None]
+            assert qmatmul_t(q, dy).tobytes() == want_t.astype(dtype).tobytes()
+
     def test_batched_forward_matches_matvec(self):
         q = quantize_rows(linalg.seeded_random(5, 7, seed=6), 4)
         xs = linalg.seeded_random(3, 7, seed=7)

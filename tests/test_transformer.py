@@ -140,6 +140,91 @@ class TestCrossEntropy:
         assert tfm.cross_entropy_loss(logits, targets) == pytest.approx(want, rel=1e-9)
 
 
+def _same_bits(got, want, what=""):
+    assert got.dtype == want.dtype and got.shape == want.shape, what
+    assert got.tobytes() == want.tobytes(), what
+
+
+def _elementwise_cases(dtype):
+    """Named inputs: edge values, the layer walk's stream/score shapes, 1M elements, empty."""
+    rng = np.random.default_rng(31)
+    tiny = np.finfo(dtype).smallest_subnormal
+    edge = [0.0, -0.0, np.inf, -np.inf, 100.0, -100.0, 1e-30, -1e-30, tiny, -tiny, 7 * tiny, -7 * tiny]
+    return {
+        "edge": np.array(edge, dtype=dtype),
+        "stream": (rng.standard_normal((1, 180, 768)) * 4).astype(dtype),
+        "scores": (rng.standard_normal((16, 128, 128)) * 4).astype(dtype),
+        "one-row": (rng.standard_normal((1, 1, 768)) * 4).astype(dtype),
+        "million": (rng.standard_normal(1_000_000) * 8).astype(dtype),
+        "empty": np.empty((0,), dtype=dtype),
+    }
+
+
+class TestElementwiseBits:
+    """The walk's sigmoid, softmax and softmax backward equal the masked and
+    three-temporary forms in tests/oracles.py bit for bit and write no input."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_matches_masked_form(self, dtype):
+        for name, x in _elementwise_cases(dtype).items():
+            before = x.copy()
+            _same_bits(tfm._sigmoid(x), oracles.sigmoid_masked(x), name)
+            _same_bits(x, before, name)
+
+    def test_sigmoid_edge_values(self):
+        for dtype in (np.float32, np.float64):
+            x = np.array([-np.inf, -100.0, -0.0, 0.0, 100.0, np.inf], dtype=dtype)
+            got = tfm._sigmoid(x)
+            assert got[0] == 0.0 and got[-1] == 1.0 and got[2] == got[3] == 0.5
+            assert 0.0 <= got[1] < 1e-40 and got[4] == 1.0
+
+    @staticmethod
+    def _softmax_inputs(dtype):
+        """Rows of finite scores, causally masked rows and an empty batch."""
+        base = _elementwise_cases(dtype)
+        cases = {k: x for k, x in base.items() if x.ndim == 3}
+        edge = base["edge"]
+        rows = np.stack([np.where(np.isinf(edge), -np.inf, edge), np.where(np.isinf(edge), 3.0, edge)])
+        rows[0, 0] = 0.0  # keep one finite entry per row, as the causal mask does
+        cases["edge-rows"] = rows
+        cases["masked"] = cases["scores"] + tfm.causal_mask(128, dtype)
+        cases["million"] = base["million"].reshape(1000, 1000)
+        cases["empty"] = np.empty((0, 5), dtype=dtype)
+        return cases
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax_matches_three_temporaries(self, dtype):
+        for name, z in self._softmax_inputs(dtype).items():
+            before = z.copy()
+            for axis in (-1, 0) if z.size and np.isfinite(z).all() else (-1,):
+                _same_bits(tfm.softmax(z, axis=axis), oracles.softmax_three_temps(z, axis=axis), name)
+            _same_bits(z, before, name)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax_backward_matches_oracle(self, dtype):
+        rng = np.random.default_rng(32)
+        for name, z in self._softmax_inputs(dtype).items():
+            s = tfm.softmax(z)
+            for ds in ((rng.standard_normal(z.shape) * 3).astype(dtype), np.where(np.isfinite(z), z, 0.0)):
+                s_before = s.copy()
+                want = oracles.softmax_backward(s, ds)
+                _same_bits(tfm._softmax_backward(s, ds.copy()), want, name)
+                _same_bits(s, s_before, name)
+
+    def test_softmax_writes_into_a_fresh_array(self):
+        z = np.asarray(seeded_random(4, 6, seed=33), dtype=np.float64)
+        before = z.copy()
+        p = tfm.softmax(z)
+        assert not np.shares_memory(p, z)
+        _same_bits(z, before)
+
+    def test_cross_entropy_grad_leaves_float64_logits_alone(self):
+        logits = seeded_random(3, 7, seed=34).astype(np.float64)
+        before = logits.copy()
+        tfm.cross_entropy_grad(logits, np.array([0, 3, 6]))
+        _same_bits(logits, before)
+
+
 def oracle_forward(model, tokens):
     """Independent straight-line float64 evaluation, one position at a time."""
     cfg = model.config
@@ -281,6 +366,25 @@ class TestModelBackward:
             assert base.keys() == other.keys()
             for k in base:
                 np.testing.assert_allclose(other[k], base[k], rtol=1e-6, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_store_all_tape_scores_are_not_overwritten(self, dtype):
+        model = build_toy(seed=7, dtype=dtype)
+        _, tape = tfm.model_forward(model, self.tokens, tfm.STORE_ALL)
+        for e in tape.entries:
+            _same_bits(e["qkT"], tfm._scores(e["q"], e["k"], TOY.heads, tape.mask))
+            _same_bits(e["s"], tfm.softmax(e["qkT"]))
+
+    @pytest.mark.parametrize("policy", [tfm.STORE_ALL, tfm.selective(("qkT",))], ids=["store_all", "keep-s"])
+    def test_backward_leaves_the_tape_unchanged(self, policy):
+        logits, tape = tfm.model_forward(self.model, self.tokens, policy)
+        before = [{k: a.copy() for k, a in e.items()} for e in tape.entries]
+        assert all("s" in e for e in before)
+        tfm.model_backward(self.model, tape, tfm.cross_entropy_grad(logits, self.targets))
+        for e, kept in zip(tape.entries, before):
+            assert e.keys() == kept.keys()
+            for k in kept:
+                _same_bits(e[k], kept[k], k)
 
     def test_tape_keeps_only_policy_set(self):
         _, tape = tfm.model_forward(self.model, self.tokens, tfm.PER_LAYER)
